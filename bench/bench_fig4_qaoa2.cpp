@@ -9,13 +9,10 @@
 //   ./bench_fig4_qaoa2 [--nodes 60,120,180,240,300] [--prob 0.1]
 //                      [--qubits 10] [--restarts 1] [--workers 4] [--full]
 //
-// --restarts R runs every leaf QAOA solve with R diversified optimizer
-// restarts evaluated in lockstep through BatchedStateVector (set
-// QQ_QAOA_SEQUENTIAL_RESTARTS=1 to A/B the same work as R sequential
-// solves — the trajectories and cuts are bit-identical, only the wall
-// clock moves). Lockstep adds R threads per in-flight leaf solve, so A/B
-// runs on few cores should drop --workers to 1 to keep the comparison
-// about batching rather than oversubscription.
+// --restarts R runs every leaf QAOA solve with R independent optimizer
+// restarts from diversified starting angles, one after another; the best
+// final expectation wins. Each leaf solve then costs about R times the
+// objective evaluations of a single run.
 
 #include <cstdio>
 #include <string>

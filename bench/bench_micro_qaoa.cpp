@@ -59,12 +59,10 @@ void BM_FullOptimization(benchmark::State& state) {
 BENCHMARK(BM_FullOptimization)->Arg(10)->Arg(12)->Arg(14)
     ->Unit(benchmark::kMillisecond);
 
-// Multi-restart solve, batched lockstep vs the bit-identical sequential
-// replay (restart_initial_parameters + restarts=1 per run). Both produce
-// the same trajectories and the same winner; the delta is pure batching —
-// every COBYLA iteration evaluates all R candidate states in one
-// BatchedStateVector sweep over the shared cut table.
-void BM_RestartsBatched(benchmark::State& state) {
+// Multi-restart solve: R independent COBYLA runs from diversified starts,
+// one after another on the calling thread, sharing one evaluation
+// workspace; only the winner is extracted (top-k scan + shot sampling).
+void BM_Restarts(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int restarts = static_cast<int>(state.range(1));
   const auto g = instance(n, 0.3, 4);
@@ -74,38 +72,11 @@ void BM_RestartsBatched(benchmark::State& state) {
   opts.max_iterations = 40;
   opts.seed = 7;
   opts.restarts = restarts;
-  opts.lockstep_min_qubits = 0;  // measure lockstep even below the crossover
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.optimize(opts));
   }
 }
-BENCHMARK(BM_RestartsBatched)
-    ->Args({10, 8})
-    ->Args({12, 8})
-    ->Args({14, 8})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RestartsSequential(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int restarts = static_cast<int>(state.range(1));
-  const auto g = instance(n, 0.3, 4);
-  const qq::qaoa::QaoaSolver solver(g);
-  qq::qaoa::QaoaOptions opts;
-  opts.layers = 2;
-  opts.max_iterations = 40;
-  opts.seed = 7;
-  for (auto _ : state) {
-    qq::qaoa::QaoaResult best;
-    for (int r = 0; r < restarts; ++r) {
-      qq::qaoa::QaoaOptions single = opts;
-      single.initial_parameters = qq::qaoa::restart_initial_parameters(opts, r);
-      qq::qaoa::QaoaResult res = solver.optimize(single);
-      if (r == 0 || res.expectation > best.expectation) best = std::move(res);
-    }
-    benchmark::DoNotOptimize(best);
-  }
-}
-BENCHMARK(BM_RestartsSequential)
+BENCHMARK(BM_Restarts)
     ->Args({10, 8})
     ->Args({12, 8})
     ->Args({14, 8})

@@ -3,14 +3,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include "qsim/batched.hpp"
 #include "qsim/measure.hpp"
 #include "qsim/statevector.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using qq::sim::BatchedStateVector;
 using qq::sim::StateVector;
 
 void BM_ApplyH(benchmark::State& state) {
@@ -144,81 +142,6 @@ void BM_DiagonalPhaseSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(sv.size()));
 }
 BENCHMARK(BM_DiagonalPhaseSweep)->Arg(10)->Arg(14)->Arg(18)->Arg(20);
-
-// One QAOA objective evaluation (cost layer + mixer layer + expectation)
-// for B parameter sets at once through BatchedStateVector — the lockstep
-// multi-restart hot loop. The unbatched twin below does the identical work
-// as B independent flat sweeps; the ratio is the win from sharing each
-// cut-table load and amplitude row across all B lanes.
-void BM_BatchedQaoaObjective(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int batch = static_cast<int>(state.range(1));
-  BatchedStateVector sv(n, batch);
-  std::vector<double> table(sv.size());
-  qq::util::Rng rng(1);
-  for (double& v : table) v = qq::util::uniform(rng, 0.0, 10.0);
-  std::vector<double> scales(batch), thetas(batch);
-  for (int b = 0; b < batch; ++b) {
-    scales[b] = 0.31 + 0.01 * b;
-    thetas[b] = 0.23 + 0.01 * b;
-  }
-  sv.reset_to_plus();
-  for (auto _ : state) {
-    sv.apply_diagonal_phase(table, scales);
-    sv.apply_rx_layer(thetas);
-    benchmark::DoNotOptimize(sv.expectation_diagonal(table));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sv.size()) * batch);
-}
-BENCHMARK(BM_BatchedQaoaObjective)
-    ->Args({10, 8})
-    ->Args({14, 8})
-    ->Args({14, 16})
-    ->Args({16, 8});
-
-void BM_UnbatchedQaoaObjective(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int batch = static_cast<int>(state.range(1));
-  std::vector<StateVector> svs(static_cast<std::size_t>(batch),
-                               StateVector::plus_state(n));
-  std::vector<double> table(svs[0].size());
-  qq::util::Rng rng(1);
-  for (double& v : table) v = qq::util::uniform(rng, 0.0, 10.0);
-  for (auto _ : state) {
-    for (int b = 0; b < batch; ++b) {
-      svs[static_cast<std::size_t>(b)].apply_diagonal_phase(table,
-                                                            0.31 + 0.01 * b);
-      svs[static_cast<std::size_t>(b)].apply_rx_layer(0.23 + 0.01 * b);
-      benchmark::DoNotOptimize(qq::sim::expectation_diagonal(
-          svs[static_cast<std::size_t>(b)], table));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(svs[0].size()) * batch);
-}
-BENCHMARK(BM_UnbatchedQaoaObjective)
-    ->Args({10, 8})
-    ->Args({14, 8})
-    ->Args({14, 16})
-    ->Args({16, 8});
-
-// The batched mixer alone: B lane butterflies per amplitude pair on
-// cache-hot rows vs B separate fused-layer sweeps.
-void BM_BatchedMixerLayer(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int batch = static_cast<int>(state.range(1));
-  BatchedStateVector sv(n, batch);
-  sv.reset_to_plus();
-  std::vector<double> thetas(batch);
-  for (int b = 0; b < batch; ++b) thetas[b] = 0.3 + 0.01 * b;
-  for (auto _ : state) {
-    sv.apply_rx_layer(thetas);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sv.size()) * batch * n);
-}
-BENCHMARK(BM_BatchedMixerLayer)->Args({10, 8})->Args({14, 8})->Args({16, 8});
 
 void BM_SampleShots(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -44,27 +44,14 @@ struct QaoaOptions {
   /// answer; 1 reproduces the paper's default behaviour.
   int top_k = 1;
   /// Independent optimizer restarts from diversified starting angles
-  /// (restart r starts from restart_initial_parameters(options, r)). With
-  /// the exact objective the restarts run in LOCKSTEP: every optimizer
-  /// iteration's states are evaluated together by one BatchedStateVector
-  /// sweep over the shared cut table, so R restarts cost far less than R
-  /// sequential solves. Each restart's trajectory is bit-for-bit the one a
-  /// sequential restarts=1 run with the same start would produce; the best
-  /// final expectation wins (ties -> lowest restart index). The default 1
-  /// is the unbatched single-run path. Shot-based objectives fall back to a
-  /// sequential loop (each restart owns a live RNG stream that cannot be
-  /// batched in lockstep); setting the QQ_QAOA_SEQUENTIAL_RESTARTS
-  /// environment variable forces that same fallback for exact objectives
-  /// too (benchmark A/B baseline, lockstep bisection).
+  /// (restart r starts from restart_initial_parameters(options, r)), run one
+  /// after another on the calling thread. Each restart is bit-for-bit the
+  /// restarts=1 run from the same start, with its own fresh shot stream;
+  /// the best exact final expectation wins (ties -> lowest restart index)
+  /// and only the winner is extracted (top-k scan and shot sampling).
+  /// Evaluations are summed over restarts. Once `context` is stopped no
+  /// further restart begins. The default 1 is the paper's single run.
   int restarts = 1;
-  /// Lockstep batching only pays once each objective evaluation is heavy
-  /// enough to amortize the per-iteration barrier handoff (one wakeup per
-  /// restart thread per optimizer step). Below this qubit count multi-
-  /// restart solves use the sequential replay instead — results are
-  /// bit-identical either way (enforced by tests), only wall clock moves.
-  /// 0 forces lockstep at any size (tests, microbenches). The default is
-  /// the measured single-core crossover on the reference container.
-  int lockstep_min_qubits = 12;
   OptimizerKind optimizer = OptimizerKind::kCobyla;
   InitKind init = InitKind::kLinearRamp;
   /// Explicit initial [gamma_1..gamma_p, beta_1..beta_p]; overrides `init`
@@ -103,8 +90,8 @@ int paper_iteration_schedule(int layers);
 /// the single-run start (explicit initial_parameters override, ramp, or
 /// seeded random per options.init); restarts >= 1 draw small random angles
 /// from a restart-salted stream, so a fixed (seed, restart) pair is fully
-/// deterministic. Exposed so tests and sequential fallbacks can replay the
-/// exact batched trajectories.
+/// deterministic. Exposed so tests can replay each restart as a
+/// restarts=1 run.
 std::vector<double> restart_initial_parameters(const QaoaOptions& options,
                                                int restart);
 
@@ -156,10 +143,8 @@ class QaoaSolver {
   QaoaResult optimize(const QaoaOptions& options) const;
 
  private:
-  QaoaResult optimize_single(const QaoaOptions& options) const;
-  QaoaResult optimize_batched(const QaoaOptions& options) const;
-  /// Final-state extraction shared by every optimize path: exact
-  /// expectation, top-k scan, and the sampled diagnostic.
+  /// Final-state extraction of the winning restart: exact expectation,
+  /// top-k scan, and the sampled diagnostic.
   void extract_result(const QaoaOptions& options, EvalWorkspace& workspace,
                       util::Rng& shot_rng, QaoaResult& result) const;
 

@@ -28,8 +28,7 @@ std::uint64_t mix_seed(std::uint64_t seed, int level, std::size_t part) {
 
 /// Digest of the result-relevant SolverDefaults fields, folded into the
 /// driver's cache keys (Qaoa2Driver ctor). Seeds and contexts are excluded
-/// (request-supplied), as is lockstep_min_qubits (bit-identical either
-/// way, enforced by tests).
+/// (request-supplied).
 std::string defaults_digest_hex(const solver::SolverDefaults& d) {
   std::uint64_t h = 0x71a0aa2d15ULL;
   const auto fold = [&h](std::uint64_t v) {

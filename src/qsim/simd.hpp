@@ -36,9 +36,7 @@
 // fold exactly — vectorization only covers the per-element products.
 //
 // Layout conventions: `p` points at interleaved [re, im] doubles; `len`
-// counts complex amplitudes unless a name says otherwise. The *_lanes
-// primitives serve BatchedStateVector's amplitude-major layout (B complex
-// lanes per amplitude row).
+// counts complex amplitudes unless a name says otherwise.
 
 #include <atomic>
 #include <bit>
@@ -335,82 +333,6 @@ inline double sum_norm_quads(double acc, const double* p00, const double* p01,
     acc += ((n00 - n01) - n10) + n11;
   }
   return acc;
-}
-
-/// Per-lane RX butterfly between two amplitude rows of `lanes` complex
-/// lanes. cdup/sdup hold each lane's cos/sin duplicated per double:
-/// cdup[2b] == cdup[2b+1] == cos for lane b (the layout the vector
-/// backends consume directly).
-inline void rx_butterfly_lanes(double* p0, double* p1, const double* cdup,
-                               const double* sdup,
-                               std::size_t lanes) noexcept {
-  for (std::size_t b = 0; b < lanes; ++b) {
-    const double c = cdup[2 * b];
-    const double s = sdup[2 * b];
-    const double a0r = p0[2 * b];
-    const double a0i = p0[2 * b + 1];
-    const double a1r = p1[2 * b];
-    const double a1i = p1[2 * b + 1];
-    p0[2 * b] = c * a0r + s * a1i;
-    p0[2 * b + 1] = c * a0i - s * a1r;
-    p1[2 * b] = c * a1r + s * a0i;
-    p1[2 * b + 1] = c * a1i - s * a0r;
-  }
-}
-
-/// Two fused butterfly levels across four amplitude rows of `lanes` complex
-/// lanes each (the batched twin of rx_butterfly2_runs): level q on (p0,p1)
-/// and (p2,p3), then level q+1 on the results (b0,b2) and (b1,b3), with
-/// each lane's own c/s from the duplicated cdup/sdup layout. Per-lane
-/// arithmetic and order are exactly two rx_butterfly_lanes passes.
-inline void rx_butterfly2_lanes(double* p0, double* p1, double* p2,
-                                double* p3, const double* cdup,
-                                const double* sdup,
-                                std::size_t lanes) noexcept {
-  for (std::size_t b = 0; b < lanes; ++b) {
-    const double c = cdup[2 * b];
-    const double s = sdup[2 * b];
-    const double a0r = p0[2 * b];
-    const double a0i = p0[2 * b + 1];
-    const double a1r = p1[2 * b];
-    const double a1i = p1[2 * b + 1];
-    const double a2r = p2[2 * b];
-    const double a2i = p2[2 * b + 1];
-    const double a3r = p3[2 * b];
-    const double a3i = p3[2 * b + 1];
-    const double b0r = c * a0r + s * a1i;
-    const double b0i = c * a0i - s * a1r;
-    const double b1r = c * a1r + s * a0i;
-    const double b1i = c * a1i - s * a0r;
-    const double b2r = c * a2r + s * a3i;
-    const double b2i = c * a2i - s * a3r;
-    const double b3r = c * a3r + s * a2i;
-    const double b3i = c * a3i - s * a2r;
-    p0[2 * b] = c * b0r + s * b2i;
-    p0[2 * b + 1] = c * b0i - s * b2r;
-    p1[2 * b] = c * b1r + s * b3i;
-    p1[2 * b + 1] = c * b1i - s * b3r;
-    p2[2 * b] = c * b2r + s * b0i;
-    p2[2 * b + 1] = c * b2i - s * b0r;
-    p3[2 * b] = c * b3r + s * b1i;
-    p3[2 * b + 1] = c * b3i - s * b1r;
-  }
-}
-
-/// acc[b] += |row_i lane b|^2 * values[i] for i in [lo, hi), where row i of
-/// `data` starts at data + 2*lanes*i. Per-lane accumulation is sequential
-/// in i — each lane's result is bit-identical to an unbatched sweep.
-inline void sum_norms_weighted_lanes(double* acc, const double* data,
-                                     std::size_t lanes, const double* values,
-                                     std::size_t lo, std::size_t hi) noexcept {
-  for (std::size_t b = 0; b < lanes; ++b) {
-    double a = acc[b];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double* q = data + 2 * lanes * i + 2 * b;
-      a += (q[0] * q[0] + q[1] * q[1]) * values[i];
-    }
-    acc[b] = a;
-  }
 }
 
 }  // namespace scalar
@@ -739,98 +661,6 @@ QQ_SIMD_TARGET_AVX2 inline double sum_norm_quads(
                                 p11 + 2 * i, n_amps - i);
 }
 
-QQ_SIMD_TARGET_AVX2 inline void rx_butterfly_lanes(
-    double* p0, double* p1, const double* cdup, const double* sdup,
-    std::size_t lanes) noexcept {
-  const __m256d modd = flip_odd();
-  std::size_t j = 0;
-  const std::size_t nd = 2 * lanes;
-  for (; j + 4 <= nd; j += 4) {
-    const __m256d cv = _mm256_loadu_pd(cdup + j);
-    const __m256d sv = _mm256_loadu_pd(sdup + j);
-    const __m256d v0 = _mm256_loadu_pd(p0 + j);
-    const __m256d v1 = _mm256_loadu_pd(p1 + j);
-    const __m256d t0 = _mm256_xor_pd(_mm256_mul_pd(swap_pairs(v1), sv), modd);
-    const __m256d t1 = _mm256_xor_pd(_mm256_mul_pd(swap_pairs(v0), sv), modd);
-    _mm256_storeu_pd(p0 + j, _mm256_add_pd(_mm256_mul_pd(v0, cv), t0));
-    _mm256_storeu_pd(p1 + j, _mm256_add_pd(_mm256_mul_pd(v1, cv), t1));
-  }
-  if (j < nd) {
-    scalar::rx_butterfly_lanes(p0 + j, p1 + j, cdup + j, sdup + j,
-                               (nd - j) / 2);
-  }
-}
-
-QQ_SIMD_TARGET_AVX2 inline void rx_butterfly2_lanes(
-    double* p0, double* p1, double* p2, double* p3, const double* cdup,
-    const double* sdup, std::size_t lanes) noexcept {
-  const __m256d modd = flip_odd();
-  std::size_t j = 0;
-  const std::size_t nd = 2 * lanes;
-  for (; j + 4 <= nd; j += 4) {
-    const __m256d cv = _mm256_loadu_pd(cdup + j);
-    const __m256d sv = _mm256_loadu_pd(sdup + j);
-    const __m256d v0 = _mm256_loadu_pd(p0 + j);
-    const __m256d v1 = _mm256_loadu_pd(p1 + j);
-    const __m256d v2 = _mm256_loadu_pd(p2 + j);
-    const __m256d v3 = _mm256_loadu_pd(p3 + j);
-    const __m256d b0 = _mm256_add_pd(
-        _mm256_mul_pd(v0, cv),
-        _mm256_xor_pd(_mm256_mul_pd(swap_pairs(v1), sv), modd));
-    const __m256d b1 = _mm256_add_pd(
-        _mm256_mul_pd(v1, cv),
-        _mm256_xor_pd(_mm256_mul_pd(swap_pairs(v0), sv), modd));
-    const __m256d b2 = _mm256_add_pd(
-        _mm256_mul_pd(v2, cv),
-        _mm256_xor_pd(_mm256_mul_pd(swap_pairs(v3), sv), modd));
-    const __m256d b3 = _mm256_add_pd(
-        _mm256_mul_pd(v3, cv),
-        _mm256_xor_pd(_mm256_mul_pd(swap_pairs(v2), sv), modd));
-    const __m256d t0 = _mm256_xor_pd(_mm256_mul_pd(swap_pairs(b2), sv), modd);
-    const __m256d t1 = _mm256_xor_pd(_mm256_mul_pd(swap_pairs(b3), sv), modd);
-    const __m256d t2 = _mm256_xor_pd(_mm256_mul_pd(swap_pairs(b0), sv), modd);
-    const __m256d t3 = _mm256_xor_pd(_mm256_mul_pd(swap_pairs(b1), sv), modd);
-    _mm256_storeu_pd(p0 + j, _mm256_add_pd(_mm256_mul_pd(b0, cv), t0));
-    _mm256_storeu_pd(p1 + j, _mm256_add_pd(_mm256_mul_pd(b1, cv), t1));
-    _mm256_storeu_pd(p2 + j, _mm256_add_pd(_mm256_mul_pd(b2, cv), t2));
-    _mm256_storeu_pd(p3 + j, _mm256_add_pd(_mm256_mul_pd(b3, cv), t3));
-  }
-  if (j < nd) {
-    scalar::rx_butterfly2_lanes(p0 + j, p1 + j, p2 + j, p3 + j, cdup + j,
-                                sdup + j, (nd - j) / 2);
-  }
-}
-
-QQ_SIMD_TARGET_AVX2 inline void sum_norms_weighted_lanes(
-    double* acc, const double* data, std::size_t lanes, const double* values,
-    std::size_t lo, std::size_t hi) noexcept {
-  const std::size_t stride = 2 * lanes;
-  std::size_t b = 0;
-  for (; b + 4 <= lanes; b += 4) {
-    // Four lanes' accumulators ride in one register across the whole i
-    // sweep; each lane's adds stay sequential in i.
-    __m256d accv = _mm256_loadu_pd(acc + b);
-    const double* row = data + 2 * b;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const __m256d n4 = norms4_ordered(row + stride * i);
-      accv = _mm256_add_pd(accv,
-                           _mm256_mul_pd(n4, _mm256_set1_pd(values[i])));
-    }
-    _mm256_storeu_pd(acc + b, accv);
-  }
-  if (b < lanes) {
-    // Remaining lanes share the row pointers; delegate per-lane scalar.
-    for (; b < lanes; ++b) {
-      double a = acc[b];
-      for (std::size_t i = lo; i < hi; ++i) {
-        const double* q = data + stride * i + 2 * b;
-        a += (q[0] * q[0] + q[1] * q[1]) * values[i];
-      }
-      acc[b] = a;
-    }
-  }
-}
-
 }  // namespace avx2
 
 // ---- AVX-512 backend -----------------------------------------------------
@@ -1062,68 +892,6 @@ QQ_SIMD_TARGET_AVX512 inline void mul_table16_blocks(
   }
 }
 
-QQ_SIMD_TARGET_AVX512 inline void rx_butterfly_lanes(
-    double* p0, double* p1, const double* cdup, const double* sdup,
-    std::size_t lanes) noexcept {
-  const __m512d modd = flip_odd();
-  std::size_t j = 0;
-  const std::size_t nd = 2 * lanes;
-  for (; j + 8 <= nd; j += 8) {
-    const __m512d cv = _mm512_loadu_pd(cdup + j);
-    const __m512d sv = _mm512_loadu_pd(sdup + j);
-    const __m512d v0 = _mm512_loadu_pd(p0 + j);
-    const __m512d v1 = _mm512_loadu_pd(p1 + j);
-    const __m512d t0 = _mm512_xor_pd(_mm512_mul_pd(swap_pairs(v1), sv), modd);
-    const __m512d t1 = _mm512_xor_pd(_mm512_mul_pd(swap_pairs(v0), sv), modd);
-    _mm512_storeu_pd(p0 + j, _mm512_add_pd(_mm512_mul_pd(v0, cv), t0));
-    _mm512_storeu_pd(p1 + j, _mm512_add_pd(_mm512_mul_pd(v1, cv), t1));
-  }
-  if (j < nd) {
-    scalar::rx_butterfly_lanes(p0 + j, p1 + j, cdup + j, sdup + j,
-                               (nd - j) / 2);
-  }
-}
-
-QQ_SIMD_TARGET_AVX512 inline void rx_butterfly2_lanes(
-    double* p0, double* p1, double* p2, double* p3, const double* cdup,
-    const double* sdup, std::size_t lanes) noexcept {
-  const __m512d modd = flip_odd();
-  std::size_t j = 0;
-  const std::size_t nd = 2 * lanes;
-  for (; j + 8 <= nd; j += 8) {
-    const __m512d cv = _mm512_loadu_pd(cdup + j);
-    const __m512d sv = _mm512_loadu_pd(sdup + j);
-    const __m512d v0 = _mm512_loadu_pd(p0 + j);
-    const __m512d v1 = _mm512_loadu_pd(p1 + j);
-    const __m512d v2 = _mm512_loadu_pd(p2 + j);
-    const __m512d v3 = _mm512_loadu_pd(p3 + j);
-    const __m512d b0 = _mm512_add_pd(
-        _mm512_mul_pd(v0, cv),
-        _mm512_xor_pd(_mm512_mul_pd(swap_pairs(v1), sv), modd));
-    const __m512d b1 = _mm512_add_pd(
-        _mm512_mul_pd(v1, cv),
-        _mm512_xor_pd(_mm512_mul_pd(swap_pairs(v0), sv), modd));
-    const __m512d b2 = _mm512_add_pd(
-        _mm512_mul_pd(v2, cv),
-        _mm512_xor_pd(_mm512_mul_pd(swap_pairs(v3), sv), modd));
-    const __m512d b3 = _mm512_add_pd(
-        _mm512_mul_pd(v3, cv),
-        _mm512_xor_pd(_mm512_mul_pd(swap_pairs(v2), sv), modd));
-    const __m512d t0 = _mm512_xor_pd(_mm512_mul_pd(swap_pairs(b2), sv), modd);
-    const __m512d t1 = _mm512_xor_pd(_mm512_mul_pd(swap_pairs(b3), sv), modd);
-    const __m512d t2 = _mm512_xor_pd(_mm512_mul_pd(swap_pairs(b0), sv), modd);
-    const __m512d t3 = _mm512_xor_pd(_mm512_mul_pd(swap_pairs(b1), sv), modd);
-    _mm512_storeu_pd(p0 + j, _mm512_add_pd(_mm512_mul_pd(b0, cv), t0));
-    _mm512_storeu_pd(p1 + j, _mm512_add_pd(_mm512_mul_pd(b1, cv), t1));
-    _mm512_storeu_pd(p2 + j, _mm512_add_pd(_mm512_mul_pd(b2, cv), t2));
-    _mm512_storeu_pd(p3 + j, _mm512_add_pd(_mm512_mul_pd(b3, cv), t3));
-  }
-  if (j < nd) {
-    scalar::rx_butterfly2_lanes(p0 + j, p1 + j, p2 + j, p3 + j, cdup + j,
-                                sdup + j, (nd - j) / 2);
-  }
-}
-
 }  // namespace avx512
 
 #endif  // QQ_SIMD_X86
@@ -1343,55 +1111,6 @@ inline double sum_norm_quads(double acc, const double* p00, const double* p01,
   }
 #endif
   return scalar::sum_norm_quads(acc, p00, p01, p10, p11, n_amps);
-}
-
-inline void rx_butterfly_lanes(double* p0, double* p1, const double* cdup,
-                               const double* sdup,
-                               std::size_t lanes) noexcept {
-#if QQ_SIMD_X86
-  switch (active_isa()) {
-    case Isa::kAvx512:
-      avx512::rx_butterfly_lanes(p0, p1, cdup, sdup, lanes);
-      return;
-    case Isa::kAvx2:
-      avx2::rx_butterfly_lanes(p0, p1, cdup, sdup, lanes);
-      return;
-    case Isa::kScalar:
-      break;
-  }
-#endif
-  scalar::rx_butterfly_lanes(p0, p1, cdup, sdup, lanes);
-}
-
-inline void rx_butterfly2_lanes(double* p0, double* p1, double* p2,
-                                double* p3, const double* cdup,
-                                const double* sdup,
-                                std::size_t lanes) noexcept {
-#if QQ_SIMD_X86
-  switch (active_isa()) {
-    case Isa::kAvx512:
-      avx512::rx_butterfly2_lanes(p0, p1, p2, p3, cdup, sdup, lanes);
-      return;
-    case Isa::kAvx2:
-      avx2::rx_butterfly2_lanes(p0, p1, p2, p3, cdup, sdup, lanes);
-      return;
-    case Isa::kScalar:
-      break;
-  }
-#endif
-  scalar::rx_butterfly2_lanes(p0, p1, p2, p3, cdup, sdup, lanes);
-}
-
-inline void sum_norms_weighted_lanes(double* acc, const double* data,
-                                     std::size_t lanes, const double* values,
-                                     std::size_t lo, std::size_t hi) noexcept {
-#if QQ_SIMD_X86
-  if (active_isa() != Isa::kScalar) {
-    avx2::sum_norms_weighted_lanes(acc, data, lanes, values, lo, hi);
-    return;
-  }
-#endif
-  scalar::sum_norms_weighted_lanes(acc, data, lanes, values, lo, hi);
 }
 
 }  // namespace qq::sim::simd

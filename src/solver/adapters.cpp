@@ -338,7 +338,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
        {"shots", "shots per circuit execution"},
        {"rhobeg", "COBYLA initial step"},
        {"topk", "top-k amplitudes scanned for the answer"},
-       {"restarts", "batched optimizer restarts (default 1)"}},
+       {"restarts",
+        "independent optimizer restarts, run one after another (default 1)"}},
       [](const SolverRegistry&, std::string_view params,
          const SolverDefaults& defaults) -> SolverPtr {
         const Params p("qaoa", params,

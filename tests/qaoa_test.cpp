@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <ostream>
 
 #include "maxcut/exact.hpp"
 #include "qaoa/cost_table.hpp"
@@ -16,6 +17,7 @@
 #include "qcircuit/execute.hpp"
 #include "qsim/measure.hpp"
 #include "qgraph/generators.hpp"
+#include "util/cancellation.hpp"
 #include "util/rng.hpp"
 
 namespace qq::qaoa {
@@ -360,22 +362,49 @@ TEST(Optimize, InputValidation) {
   EXPECT_THROW(solve_qaoa(g, opts), std::invalid_argument);
 }
 
-// ----------------------------------------------- batched restarts ----
+// ------------------------------------------------------ restarts ----
 
-TEST(Restarts, BatchedMatchesSequentialReplayExactly) {
-  // The lockstep-batched path promises each restart's trajectory is
-  // bit-for-bit the one a restarts=1 run from the same start produces, and
-  // that the best expectation wins. Replay every restart sequentially and
-  // demand EXACT equality (not near-equality) of the winner.
-  util::Rng rng(31);
-  const Graph g = graph::erdos_renyi(8, 0.4, rng);
+/// One multi-restart configuration replayed against a hand loop.
+struct ReplayCase {
+  const char* name;
+  std::uint64_t graph_seed;
+  int nodes;
+  double edge_p;
+  OptimizerKind optimizer;
+  bool shot_based;
+  int restarts;
+  std::uint64_t seed;
+  int max_iterations;
+};
+
+// Prints the case name, which ctest shows in place of the numeric index.
+void PrintTo(const ReplayCase& c, std::ostream* os) { *os << c.name; }
+
+class RestartReplay : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(RestartReplay, MatchesHandLoopOfSingleRunsBitForBit) {
+  // optimize(restarts = R) promises to be exactly R independent
+  // restarts = 1 runs from restart_initial_parameters(opts, r), each with a
+  // fresh shot stream, keeping the best exact expectation (ties -> lowest
+  // restart index) and summing the evaluations. Replay that by hand and
+  // demand EXACT equality of every result field. For the shot-based
+  // objective, best_sampled_value also pins which restart's shot stream
+  // feeds the winner's sampling diagnostic.
+  const ReplayCase& c = GetParam();
+  util::Rng rng(c.graph_seed);
+  const Graph g = graph::erdos_renyi(c.nodes, c.edge_p, rng);
   const QaoaSolver solver(g);
   QaoaOptions opts;
   opts.layers = 2;
-  opts.seed = 9;
-  opts.restarts = 4;
-  opts.lockstep_min_qubits = 0;  // force lockstep below the size crossover
-  const QaoaResult batched = solver.optimize(opts);
+  opts.seed = c.seed;
+  opts.restarts = c.restarts;
+  opts.optimizer = c.optimizer;
+  opts.max_iterations = c.max_iterations;
+  if (c.shot_based) {
+    opts.shot_based_objective = true;
+    opts.shots = 256;
+  }
+  const QaoaResult multi = solver.optimize(opts);
 
   QaoaResult best;
   int total_evaluations = 0;
@@ -388,58 +417,23 @@ TEST(Restarts, BatchedMatchesSequentialReplayExactly) {
     if (r == 0 || res.expectation > best.expectation) best = res;
   }
 
-  EXPECT_EQ(batched.parameters, best.parameters);
-  EXPECT_EQ(batched.expectation, best.expectation);
-  EXPECT_EQ(batched.cut.assignment, best.cut.assignment);
-  EXPECT_EQ(batched.cut.value, best.cut.value);
-  EXPECT_EQ(batched.best_sampled_value, best.best_sampled_value);
-  EXPECT_EQ(batched.evaluations, total_evaluations);
+  EXPECT_EQ(multi.parameters, best.parameters);
+  EXPECT_EQ(multi.expectation, best.expectation);
+  EXPECT_EQ(multi.cut.assignment, best.cut.assignment);
+  EXPECT_EQ(multi.cut.value, best.cut.value);
+  EXPECT_EQ(multi.best_sampled_value, best.best_sampled_value);
+  EXPECT_EQ(multi.evaluations, total_evaluations);
 }
 
-TEST(Restarts, SizeThresholdFallbackIsBitIdentical) {
-  // Below lockstep_min_qubits optimize() silently runs the sequential
-  // replay; the caller must not be able to tell apart from forced lockstep.
-  util::Rng rng(53);
-  const Graph g = graph::erdos_renyi(8, 0.4, rng);
-  const QaoaSolver solver(g);
-  QaoaOptions opts;
-  opts.layers = 2;
-  opts.seed = 11;
-  opts.restarts = 3;
-  ASSERT_LT(static_cast<int>(g.num_nodes()), opts.lockstep_min_qubits);
-  const QaoaResult seq = solver.optimize(opts);
-  opts.lockstep_min_qubits = 0;
-  const QaoaResult lock = solver.optimize(opts);
-  EXPECT_EQ(seq.parameters, lock.parameters);
-  EXPECT_EQ(seq.expectation, lock.expectation);
-  EXPECT_EQ(seq.evaluations, lock.evaluations);
-  EXPECT_EQ(seq.cut.assignment, lock.cut.assignment);
-}
-
-TEST(Restarts, NelderMeadBackendMatchesSequentialReplay) {
-  util::Rng rng(37);
-  const Graph g = graph::erdos_renyi(7, 0.45, rng);
-  const QaoaSolver solver(g);
-  QaoaOptions opts;
-  opts.layers = 2;
-  opts.seed = 4;
-  opts.restarts = 3;
-  opts.lockstep_min_qubits = 0;
-  opts.optimizer = OptimizerKind::kNelderMead;
-  opts.max_iterations = 80;
-  const QaoaResult batched = solver.optimize(opts);
-
-  QaoaResult best;
-  for (int r = 0; r < opts.restarts; ++r) {
-    QaoaOptions single = opts;
-    single.restarts = 1;
-    single.initial_parameters = restart_initial_parameters(opts, r);
-    const QaoaResult res = solver.optimize(single);
-    if (r == 0 || res.expectation > best.expectation) best = res;
-  }
-  EXPECT_EQ(batched.parameters, best.parameters);
-  EXPECT_EQ(batched.expectation, best.expectation);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RestartReplay,
+    ::testing::Values(
+        ReplayCase{"CobylaExact", 31, 8, 0.4, OptimizerKind::kCobyla, false, 4,
+                   9, 0},
+        ReplayCase{"NelderMeadExact", 37, 7, 0.45, OptimizerKind::kNelderMead,
+                   false, 3, 4, 80},
+        ReplayCase{"CobylaShotBased", 43, 7, 0.4, OptimizerKind::kCobyla, true,
+                   3, 8, 0}));
 
 TEST(Restarts, NeverWorseThanSingleRun) {
   util::Rng rng(41);
@@ -455,28 +449,22 @@ TEST(Restarts, NeverWorseThanSingleRun) {
   EXPECT_GE(multi.expectation, single.expectation);
 }
 
-TEST(Restarts, ShotBasedFallbackMatchesSequentialLoop) {
-  util::Rng rng(43);
-  const Graph g = graph::erdos_renyi(7, 0.4, rng);
-  const QaoaSolver solver(g);
+TEST(Restarts, StoppedContextStartsNoFurtherRestart) {
+  // A request already past its deadline (or cancelled) must not pay for the
+  // remaining restarts: restart 0 returns its start point after one
+  // evaluation and no other restart begins.
+  util::Rng rng(59);
+  const Graph g = graph::erdos_renyi(10, 0.4, rng);
+  util::RequestContext ctx;
+  ctx.cancel();
   QaoaOptions opts;
   opts.layers = 2;
-  opts.seed = 8;
-  opts.shots = 256;
-  opts.shot_based_objective = true;
-  opts.restarts = 3;
-  const QaoaResult multi = solver.optimize(opts);
-
-  QaoaResult best;
-  for (int r = 0; r < opts.restarts; ++r) {
-    QaoaOptions single = opts;
-    single.restarts = 1;
-    single.initial_parameters = restart_initial_parameters(opts, r);
-    const QaoaResult res = solver.optimize(single);
-    if (r == 0 || res.expectation > best.expectation) best = res;
-  }
-  EXPECT_EQ(multi.parameters, best.parameters);
-  EXPECT_EQ(multi.expectation, best.expectation);
+  opts.seed = 5;
+  opts.restarts = 4;
+  opts.context = &ctx;
+  const QaoaResult r = QaoaSolver(g).optimize(opts);
+  EXPECT_EQ(r.evaluations, 1);
+  EXPECT_EQ(r.cut.value, maxcut::cut_value(g, r.cut.assignment));
 }
 
 TEST(Restarts, InitialParametersAreDeterministicAndDiverse) {
@@ -511,17 +499,16 @@ TEST(Restarts, InputValidation) {
   EXPECT_THROW(solve_qaoa(g, opts), std::invalid_argument);
 }
 
-TEST(CostTable, BuiltOncePerBatchedSolve) {
+TEST(CostTable, BuiltOncePerMultiRestartSolve) {
   util::Rng rng(47);
   const Graph g = graph::erdos_renyi(7, 0.4, rng);
   QaoaOptions opts;
   opts.layers = 2;
   opts.seed = 2;
   opts.restarts = 8;
-  opts.lockstep_min_qubits = 0;
   const std::uint64_t before = cut_table_builds();
   solve_qaoa(g, opts);
-  // One QaoaSolver construction = one table build shared by all 8 lockstep
+  // One QaoaSolver construction = one table build shared by all 8
   // restarts; the per-iteration objective and the final extraction reuse it.
   EXPECT_EQ(cut_table_builds() - before, 1u);
 }
