@@ -55,22 +55,22 @@ int main(int argc, char** argv) {
   // Part 1: raw engine overhead — empty-ish tasks expose the dispatch cost.
   qq::sched::WorkflowEngine engine(qq::sched::EngineOptions{4, 4});
   for (const int count : {64, 256, 1024}) {
-    std::vector<qq::sched::Task> tasks;
-    volatile double sink = 0.0;
-    for (int i = 0; i < count; ++i) {
-      tasks.push_back({i % 2 ? qq::sched::ResourceKind::kQuantum
-                             : qq::sched::ResourceKind::kClassical,
-                       [&sink] {
-                         double acc = 0.0;
-                         for (int k = 0; k < 1000; ++k) acc += k * 1e-9;
-                         sink = sink + acc;
-                       }});
-    }
+    // One slot per task: the tasks run concurrently, so a shared sink
+    // would be a data race.
+    std::vector<double> sinks(static_cast<std::size_t>(count), 0.0);
     qq::util::Timer timer;
-    const auto report = engine.run_batch(std::move(tasks));
+    for (int i = 0; i < count; ++i) {
+      engine.submit({i % 2 ? qq::sched::ResourceKind::kQuantum
+                           : qq::sched::ResourceKind::kClassical,
+                     [&sinks, i] {
+                       double acc = 0.0;
+                       for (int k = 0; k < 1000; ++k) acc += k * 1e-9;
+                       sinks[static_cast<std::size_t>(i)] = acc;
+                     }});
+    }
+    engine.drain();
     std::printf("engine dispatch: %5d tasks in %.4f s  (%.1f us/task)\n",
                 count, timer.seconds(), 1e6 * timer.seconds() / count);
-    (void)report;
   }
 
   // Part 2: the claim inside the real pipeline.
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     opts.max_qubits = qubits;
     opts.sub_solver_spec = spec;
     opts.qaoa.layers = 3;
-    opts.merge_solver = qq::qaoa2::SubSolver::kGw;
+    opts.merge_solver_spec = "gw";
     opts.seed = seed;
     opts.engine = qq::sched::EngineOptions{4, 4};
     const auto r = qq::qaoa2::solve_qaoa2(g, opts);
@@ -126,12 +126,13 @@ int main(int argc, char** argv) {
   }
   qq::util::Table stream_table(
       {"pipeline", "cut", "wall s", "engine tasks", "queue wait s"});
+  std::vector<qq::qaoa2::Qaoa2Result> pipelines;
   for (const bool streaming : {false, true}) {
     qq::qaoa2::Qaoa2Options opts;
     opts.max_qubits = qubits;
     opts.sub_solver_spec = solvers.front();
     opts.qaoa.layers = 3;
-    opts.merge_solver = qq::qaoa2::SubSolver::kGw;
+    opts.merge_solver_spec = "gw";
     opts.seed = seed;
     opts.engine = qq::sched::EngineOptions{4, 4};
     opts.streaming = streaming;
@@ -142,10 +143,16 @@ int main(int argc, char** argv) {
                           qq::util::format_double(timer.seconds(), 3),
                           std::to_string(r.engine_tasks),
                           qq::util::format_double(r.queue_wait_seconds, 3)});
+    pipelines.push_back(r);
   }
   std::printf("multi-component pipeline (%d components, %d nodes, identical "
               "cuts by construction):\n%s\n",
               num_components, total_nodes, stream_table.str().c_str());
+  const bool identical =
+      pipelines[0].cut.value == pipelines[1].cut.value &&
+      pipelines[0].cut.assignment == pipelines[1].cut.assignment;
+  std::printf("check (level-barrier and streaming cuts identical): %s\n\n",
+              identical ? "REPRODUCED" : "NOT reproduced");
 
   std::printf("paper claim: \"the overhead incurred by the coordination of "
               "the various sub-graph solutions is minimal\" — the pure "
@@ -153,5 +160,5 @@ int main(int argc, char** argv) {
               "of magnitude below a sub-graph solve; the residual column "
               "additionally contains load imbalance between uneven "
               "sub-graphs.\n");
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -20,7 +20,7 @@
 //   streamed_components
 //                   Four component-like chains (quantum leaves -> classical
 //                   merge -> quantum coarse solve) with skewed leaf counts,
-//                   run once as per-level run_batch barriers and once as a
+//                   run once with a drain barrier per level and once as a
 //                   dependency-streamed task graph on the persistent
 //                   engine. Sleeps model device latency, so the overlap win
 //                   is measurable even on one core; the coarse-before-last-
@@ -76,7 +76,6 @@ namespace {
 
 using qq::sched::EngineOptions;
 using qq::sched::ResourceKind;
-using qq::sched::Task;
 using qq::sched::WorkflowEngine;
 
 double median_of(std::vector<double> xs) { return qq::util::median(xs); }
@@ -127,23 +126,22 @@ SkewedResult run_skewed_batch(int reps, int budget) {
   for (int rep = 0; rep < reps; ++rep) {
     WorkflowEngine engine(EngineOptions{2, 4});
     std::vector<qq::qaoa::QaoaResult> results(1 + small.size());
-    std::vector<Task> tasks;
-    tasks.push_back({ResourceKind::kQuantum, [&] {
-                       qq::qaoa::QaoaOptions o = qopts;
-                       o.seed = 1;
-                       results[0] = qq::qaoa::solve_qaoa(big, o);
-                     }});
-    for (std::size_t i = 0; i < small.size(); ++i) {
-      tasks.push_back({ResourceKind::kQuantum, [&, i] {
-                         qq::qaoa::QaoaOptions o = qopts;
-                         o.seed = 2 + static_cast<std::uint64_t>(i);
-                         results[1 + i] = qq::qaoa::solve_qaoa(small[i], o);
-                       }});
-    }
     qq::util::Timer timer;
-    const auto report = engine.run_batch(std::move(tasks));
+    engine.submit({ResourceKind::kQuantum, [&] {
+                     qq::qaoa::QaoaOptions o = qopts;
+                     o.seed = 1;
+                     results[0] = qq::qaoa::solve_qaoa(big, o);
+                   }});
+    for (std::size_t i = 0; i < small.size(); ++i) {
+      engine.submit({ResourceKind::kQuantum, [&, i] {
+                       qq::qaoa::QaoaOptions o = qopts;
+                       o.seed = 2 + static_cast<std::uint64_t>(i);
+                       results[1 + i] = qq::qaoa::solve_qaoa(small[i], o);
+                     }});
+    }
+    engine.drain();
     walls.push_back(timer.seconds());
-    out.busy_s = report.busy_seconds;
+    out.busy_s = engine.stats().busy_quantum_seconds;  // every task is quantum
     out.big_cut = results[0].cut.value;
   }
   out.wall_s = median_of(walls);
@@ -179,20 +177,19 @@ LatencyResult run_device_latency(int reps, std::uint64_t iters_per_ms) {
   std::vector<double> sinks(kClassicalTasks, 0.0);  // one slot per task
   for (int rep = 0; rep < reps; ++rep) {
     WorkflowEngine engine(EngineOptions{1, 4});
-    std::vector<Task> tasks;
+    qq::util::Timer timer;
     for (int i = 0; i < kQuantumTasks; ++i) {
-      tasks.push_back({ResourceKind::kQuantum, [kDeviceLatency] {
-                         std::this_thread::sleep_for(kDeviceLatency);
-                       }});
+      engine.submit({ResourceKind::kQuantum, [kDeviceLatency] {
+                       std::this_thread::sleep_for(kDeviceLatency);
+                     }});
     }
     for (int i = 0; i < kClassicalTasks; ++i) {
-      tasks.push_back({ResourceKind::kClassical, [&sinks, i, classical_iters] {
-                         sinks[static_cast<std::size_t>(i)] +=
-                             cpu_burn(classical_iters);
-                       }});
+      engine.submit({ResourceKind::kClassical, [&sinks, i, classical_iters] {
+                       sinks[static_cast<std::size_t>(i)] +=
+                           cpu_burn(classical_iters);
+                     }});
     }
-    qq::util::Timer timer;
-    engine.run_batch(std::move(tasks));
+    engine.drain();
     walls.push_back(timer.seconds());
   }
   volatile double consume = 0.0;
@@ -225,13 +222,12 @@ NestedResult run_nested_kernel(int reps, int layers) {
   for (int rep = 0; rep < reps; ++rep) {
     WorkflowEngine engine(EngineOptions{1, 1});
     double ms = 0.0;
-    std::vector<Task> tasks;
-    tasks.push_back({ResourceKind::kQuantum, [&] {
-                       qq::util::Timer t;
-                       for (int l = 0; l < layers; ++l) sv.apply_rx_layer(0.3);
-                       ms = t.millis() / layers;
-                     }});
-    engine.run_batch(std::move(tasks));
+    engine.submit({ResourceKind::kQuantum, [&] {
+                     qq::util::Timer t;
+                     for (int l = 0; l < layers; ++l) sv.apply_rx_layer(0.3);
+                     ms = t.millis() / layers;
+                   }});
+    engine.drain();
     nested.push_back(ms);
   }
   out.chunks_per_nested_layer =
@@ -271,31 +267,28 @@ StreamedResult run_streamed_components(int reps) {
   StreamedResult out;
   std::vector<double> barrier_walls, streaming_walls;
   for (int rep = 0; rep < reps; ++rep) {
-    // Level-barrier baseline: the pre-streaming driver's shape — one
-    // run_batch per level across ALL components.
+    // Level-barrier baseline: the pre-streaming driver's shape — each level
+    // across ALL components is submitted, then the engine drains.
     {
       WorkflowEngine engine(opts);
       qq::util::Timer timer;
-      std::vector<Task> level0;
       const int max_leaves = *std::max_element(leaves.begin(), leaves.end());
       for (int i = 0; i < max_leaves; ++i) {
         for (const int n : leaves) {
           if (i < n) {
-            level0.push_back(sleep_task(kLeafLatency, ResourceKind::kQuantum));
+            engine.submit(sleep_task(kLeafLatency, ResourceKind::kQuantum));
           }
         }
       }
-      engine.run_batch(std::move(level0));
-      std::vector<Task> merges;
+      engine.drain();
       for (std::size_t c = 0; c < leaves.size(); ++c) {
-        merges.push_back(sleep_task(kMergeLatency, ResourceKind::kClassical));
+        engine.submit(sleep_task(kMergeLatency, ResourceKind::kClassical));
       }
-      engine.run_batch(std::move(merges));
-      std::vector<Task> coarse;
+      engine.drain();
       for (std::size_t c = 0; c < leaves.size(); ++c) {
-        coarse.push_back(sleep_task(kCoarseLatency, ResourceKind::kQuantum));
+        engine.submit(sleep_task(kCoarseLatency, ResourceKind::kQuantum));
       }
-      engine.run_batch(std::move(coarse));
+      engine.drain();
       barrier_walls.push_back(timer.seconds());
     }
     // Streaming: the same chains as a dependency graph on one engine.
@@ -378,11 +371,11 @@ PipelineResult run_qaoa2_streaming(int reps, int budget) {
 
   qq::qaoa2::Qaoa2Options opts;
   opts.max_qubits = 14;
-  opts.sub_solver = qq::qaoa2::SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = budget;
   opts.qaoa.shots = 256;
-  opts.merge_solver = qq::qaoa2::SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 43;
   opts.engine = qq::sched::EngineOptions{2, 4};
 

@@ -40,20 +40,19 @@ int main(int argc, char** argv) {
   for (const int devices : {1, 2, 4, 8}) {
     qq::sched::WorkflowEngine engine(
         qq::sched::EngineOptions{devices, 1});
-    std::vector<qq::sched::Task> tasks;
     std::vector<double> values(graphs.size(), 0.0);
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      tasks.push_back({qq::sched::ResourceKind::kQuantum, [&, i] {
-                         qq::qaoa::QaoaOptions opts;
-                         opts.layers = layers;
-                         opts.max_iterations = 40;
-                         opts.seed = seed + i;
-                         values[i] =
-                             qq::qaoa::solve_qaoa(graphs[i], opts).cut.value;
-                       }});
-    }
     qq::util::Timer timer;
-    engine.run_batch(std::move(tasks));
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      engine.submit({qq::sched::ResourceKind::kQuantum, [&, i] {
+                       qq::qaoa::QaoaOptions opts;
+                       opts.layers = layers;
+                       opts.max_iterations = 40;
+                       opts.seed = seed + i;
+                       values[i] =
+                           qq::qaoa::solve_qaoa(graphs[i], opts).cut.value;
+                     }});
+    }
+    engine.drain();
     const double wall = timer.seconds();
     if (devices == 1) baseline = wall;
     const double speedup = baseline / wall;

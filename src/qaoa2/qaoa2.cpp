@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -66,13 +68,6 @@ std::string defaults_digest_hex(const solver::SolverDefaults& d) {
 
 std::uint64_t partition_seed(std::uint64_t base_seed, int level) {
   return base_seed + static_cast<std::uint64_t>(level) * 1000003ULL;
-}
-
-/// Enum role -> registry spec: the compatibility mapping. Every enumerator
-/// name doubles as its registry name ("best" resolves to the registry's
-/// default best-of(qaoa, gw) pairing).
-std::string resolved_spec(const std::string& spec, SubSolver fallback) {
-  return spec.empty() ? sub_solver_name(fallback) : spec;
 }
 
 solver::SolveRequest make_request(const graph::Graph& g, std::uint64_t seed,
@@ -166,28 +161,6 @@ void accumulate(Qaoa2Result& total, const Qaoa2Result& partial) {
 
 }  // namespace
 
-const char* sub_solver_name(SubSolver solver) noexcept {
-  switch (solver) {
-    case SubSolver::kQaoa: return "qaoa";
-    case SubSolver::kGw: return "gw";
-    case SubSolver::kBest: return "best";
-    case SubSolver::kExact: return "exact";
-    case SubSolver::kAnneal: return "anneal";
-    case SubSolver::kLocalSearch: return "local-search";
-    case SubSolver::kRqaoa: return "rqaoa";
-  }
-  return "?";
-}
-
-std::optional<SubSolver> parse_sub_solver(std::string_view name) noexcept {
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kBest, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
-    if (name == sub_solver_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
 std::uint64_t component_seed(std::uint64_t seed, std::size_t component,
                              std::size_t num_components) noexcept {
   if (num_components <= 1) return seed;
@@ -211,35 +184,21 @@ Qaoa2Driver::Qaoa2Driver(const Qaoa2Options& options) : options_(options) {
   }
   const solver::SolverDefaults defaults = solver_defaults();
   const solver::SolverRegistry& registry = solver::SolverRegistry::global();
-  const std::string sub_spec =
-      resolved_spec(options_.sub_solver_spec, options_.sub_solver);
-  const std::string deeper_spec =
-      resolved_spec(options_.deeper_solver_spec, options_.deeper_solver);
-  const std::string merge_spec =
-      resolved_spec(options_.merge_solver_spec, options_.merge_solver);
-  sub_ = registry.make(sub_spec, defaults);
-  deeper_ = registry.make(deeper_spec, defaults);
-  merge_ = registry.make(merge_spec, defaults);
+  sub_ = registry.make(options_.sub_solver_spec, defaults);
+  deeper_ = registry.make(options_.deeper_solver_spec, defaults);
+  merge_ = registry.make(options_.merge_solver_spec, defaults);
   // Cache keys: spec + digest of the defaults the spec refines, so two
   // drivers sharing "qaoa" but configured with different layers/shots/...
   // never alias one cache entry.
   const std::string suffix = defaults_digest_hex(defaults);
-  sub_key_ = sub_spec + suffix;
-  deeper_key_ = deeper_spec + suffix;
-  merge_key_ = merge_spec + suffix;
+  sub_key_ = options_.sub_solver_spec + suffix;
+  deeper_key_ = options_.deeper_solver_spec + suffix;
+  merge_key_ = options_.merge_solver_spec + suffix;
   if (!merge_->children().empty()) {
     throw std::invalid_argument(
         "Qaoa2Driver: merge solver cannot be a best-of combinator (the "
         "coarse graph gets exactly one solve)");
   }
-}
-
-maxcut::CutResult Qaoa2Driver::solve_subgraph(const graph::Graph& g,
-                                              SubSolver which,
-                                              std::uint64_t seed) const {
-  const solver::SolverPtr s = solver::SolverRegistry::global().make(
-      sub_solver_name(which), solver_defaults());
-  return s->solve(make_request(g, seed, options_.context)).cut;
 }
 
 solver::SolveReport Qaoa2Driver::dispatch_solve(
@@ -335,23 +294,14 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
         tags_(tags),
         done_(std::move(done)) {}
 
-  /// Synchronous entry: shard on the caller-computed components, submit
-  /// every component's root task, and drain the engine. Throws the first
-  /// task error, if any (the engine's drain semantics, unchanged).
-  void run(std::vector<std::vector<graph::NodeId>> components) {
-    components_ = std::move(components);
-    start_components();
-    engine_.drain();
-  }
-
-  /// Asynchronous entry: submit one classical PLANNING task that computes
-  /// the component sharding (O(V+E) — off the caller's thread) and fans
-  /// out from there; `done_` fires when the last task settles.
+  /// The one entry: submit a classical PLANNING task that computes the
+  /// component sharding (O(V+E) — off the caller's thread) and fans out
+  /// from there; `done_` fires when the last task settles.
   void start() {
     submit_task(sched::ResourceKind::kClassical, [this] {
       if (graph_.num_nodes() <= options_.max_qubits) {
-        // Mirror the synchronous fits-on-device fast path — ONE solve of
-        // the whole graph — so async results match solve() bit-for-bit.
+        // Mirror solve()'s engine-free fits-on-device path — ONE solve of
+        // the whole graph — so async results match it bit-for-bit.
         components_count_ =
             static_cast<int>(graph::connected_components(graph_).size());
         runs_.resize(1);
@@ -375,8 +325,6 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
       start_components();
     });
   }
-
-  const std::vector<ComponentRun>& runs() const noexcept { return runs_; }
 
  private:
   void start_components() {
@@ -441,7 +389,6 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   }
 
   void finish() {
-    if (!done_) return;  // synchronous run(): drain() delivers instead
     Qaoa2Result result;
     std::exception_ptr err;
     {
@@ -463,6 +410,11 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
       result.cut.value = maxcut::cut_value(graph_, result.cut.assignment);
       result.engine_tasks = submitted_;
     }
+    // Free the per-level graphs and reports before done_ fires: the caller
+    // may carry on (solve() returns) as soon as it has the result, while
+    // this object lives until the settling thread drops its reference.
+    runs_.clear();
+    components_.clear();
     // Move the callback out before invoking: done handlers may destroy the
     // service-side record that owns the last external reference to us.
     Qaoa2Driver::DoneFn done = std::move(done_);
@@ -568,7 +520,7 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   sched::WorkflowEngine& engine_;
   const graph::Graph& graph_;
   SolveTags tags_;
-  Qaoa2Driver::DoneFn done_;  ///< empty in synchronous mode
+  Qaoa2Driver::DoneFn done_;
   std::vector<std::vector<graph::NodeId>> components_;
   int components_count_ = 0;
   std::vector<ComponentRun> runs_;
@@ -580,9 +532,10 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
 };
 
 // ---------------------------------------------------------------------------
-// Level-barrier recursion (streaming off): the reference pipeline. One
-// engine batch per level; every seed matches the streaming pipeline's, so
-// the two produce bit-for-bit identical cuts.
+// Level-barrier recursion (streaming off): the reference pipeline. Each
+// level submits its sub-solves and drains the engine before merging; every
+// seed matches the streaming pipeline's, so the two produce bit-for-bit
+// identical cuts.
 
 void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
                               std::uint64_t base_seed,
@@ -626,8 +579,6 @@ void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
   std::vector<std::vector<solver::SolveReport>> reports(
       parts.size(), std::vector<solver::SolveReport>(arms.size()));
 
-  std::vector<sched::Task> tasks;
-  tasks.reserve(parts.size() * arms.size());
   const util::RequestContext* context = options_.context;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const std::uint64_t seed = mix_seed(base_seed, level, i);
@@ -640,16 +591,20 @@ void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
             *arms[a], arm_keys[a],
             make_request(subgraphs[i].graph, seed, context));
       };
-      tasks.push_back(std::move(task));
+      engine.submit(std::move(task));
     }
   }
-  const sched::BatchReport report = engine.run_batch(std::move(tasks));
-  result.solve_seconds += report.busy_seconds;
+  // The tasks capture this frame, so wait for ALL of them — drain() returns
+  // only once every task has settled, and only then rethrows a failure.
+  engine.drain();
 
   std::vector<maxcut::Assignment> locals(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
     locals[i] = best_report(reports[i]).cut.assignment;
     count_reports(reports[i], result);
+    for (const solver::SolveReport& rep : reports[i]) {
+      result.solve_seconds += rep.wall_seconds;
+    }
   }
 
   // Merge (paper step 4) and recurse on the coarse graph (step 5). The
@@ -683,29 +638,29 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
     return result;
   }
 
-  // Shard by connected component: components share no edges, so they are
-  // independent MaxCut instances with independent seed streams.
-  const auto components = graph::connected_components(g);
-  result.components = static_cast<int>(components.size());
-
   // ONE engine (and one pool) for the entire solve.
   sched::WorkflowEngine engine(options_.engine);
-  maxcut::Assignment global(static_cast<std::size_t>(g.num_nodes()), 0);
-
   if (options_.streaming) {
     SolveTags tags;
     tags.context = options_.context;
-    auto pipeline = std::make_shared<StreamPipeline>(*this, engine, g, tags,
-                                                     Qaoa2Driver::DoneFn{});
-    pipeline->run(components);
-    for (const ComponentRun& run : pipeline->runs()) {
-      accumulate(result, run.partial);
-      for (std::size_t j = 0; j < run.to_global.size(); ++j) {
-        global[static_cast<std::size_t>(run.to_global[j])] =
-            run.assignment[j];
-      }
-    }
+    std::promise<Qaoa2Result> done;
+    std::future<Qaoa2Result> streamed = done.get_future();
+    solve_async(engine, g, tags, [&done](Qaoa2Result r, std::exception_ptr) {
+      done.set_value(std::move(r));
+    });
+    std::exception_ptr error;
+    engine.drain(&error);
+    // drain() returns once the last task has settled, but the done callback
+    // runs after that on the settling thread: wait for it even on failure,
+    // since it writes to this frame.
+    result = streamed.get();
+    if (error) std::rethrow_exception(error);
   } else {
+    // Shard by connected component: components share no edges, so they
+    // are independent MaxCut instances with independent seed streams.
+    const auto components = graph::connected_components(g);
+    result.components = static_cast<int>(components.size());
+    maxcut::Assignment global(static_cast<std::size_t>(g.num_nodes()), 0);
     for (std::size_t ci = 0; ci < components.size(); ++ci) {
       graph::Subgraph sub = g.induced(components[ci]);
       const std::uint64_t base_seed =
@@ -718,6 +673,8 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
         global[static_cast<std::size_t>(sub.to_global[j])] = assignment[j];
       }
     }
+    result.cut.assignment = std::move(global);
+    result.cut.value = maxcut::cut_value(g, result.cut.assignment);
   }
 
   const sched::EngineStats estats = engine.stats();
@@ -728,9 +685,6 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
       estats.quantum_tasks, estats.classical_tasks, options_.engine,
       std::max<std::size_t>(std::size_t{1}, engine.pool().size()));
   result.coordination_seconds = std::max(0.0, wall.seconds() - ideal);
-
-  result.cut.assignment = std::move(global);
-  result.cut.value = maxcut::cut_value(g, result.cut.assignment);
   return result;
 }
 

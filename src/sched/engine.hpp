@@ -20,12 +20,13 @@
 //
 // The engine is NON-BLOCKING: at most `slots` tasks of a kind are handed to
 // the thread pool at a time; no pool thread ever parks waiting for a slot,
-// and a waiting caller (`wait`/`drain`/`run_batch`) help-runs this engine's
+// and a waiting caller (`wait`/`drain`) help-runs this engine's
 // dispatched tasks plus bounded pool chunk work, so waits issued from
 // inside a pool worker — or on a pool of one — still complete.
 //
-// `run_batch` remains as a thin compatibility wrapper: submit every task
-// with no dependencies, wait for that batch, report batch-relative timings.
+// Work is run one way: `submit` each task, then `wait` on a handle or
+// `drain` the engine. A fan-out whose closures reference the caller's
+// frame drains, which returns only after every task has settled.
 //
 // MULTI-TENANCY (the service layer's substrate): tasks carry a fair-share
 // CLASS and a cancellation GROUP. Classes (add_class) are weighted queues
@@ -121,9 +122,7 @@ struct TaskTiming {
   ResourceKind kind = ResourceKind::kClassical;
   double submit_s = 0.0;  ///< entry into the engine's ready queue (for a
                           ///< dependent task: the moment its last dependency
-                          ///< completed), relative to the clock origin —
-                          ///< engine construction for timing(), batch start
-                          ///< inside a BatchReport
+                          ///< completed), relative to engine construction
   double start_s = 0.0;   ///< `work` began executing
   double end_s = 0.0;     ///< `work` returned (or threw)
   double wait_s = 0.0;    ///< start_s - submit_s: slot wait + pool queueing
@@ -135,22 +134,9 @@ struct TaskTiming {
   bool cancelled = false;
 };
 
-struct BatchReport {
-  double wall_seconds = 0.0;
-  /// Σ task service times (inside `work`), including failed tasks' partial
-  /// runtimes.
-  double busy_seconds = 0.0;
-  double busy_quantum_seconds = 0.0;
-  double busy_classical_seconds = 0.0;
-  /// Wall time minus the ideal-parallel-time estimate of the useful work —
-  /// the "coordination overhead is minimal" check. See
-  /// ideal_parallel_seconds.
-  double coordination_seconds = 0.0;
-  std::vector<TaskTiming> timings;
-};
-
 /// Cumulative engine counters since construction; snapshot via
-/// WorkflowEngine::stats().
+/// WorkflowEngine::stats(). Busy times are Σ task service times inside
+/// `work`, including failed tasks' partial runtimes.
 struct EngineStats {
   double busy_quantum_seconds = 0.0;
   double busy_classical_seconds = 0.0;
@@ -168,7 +154,8 @@ struct EngineStats {
   std::size_t inflight_classical = 0;
 };
 
-/// Ideal parallel drain time for the given per-kind busy totals, computed
+/// Ideal parallel drain time for the given per-kind busy totals — wall time
+/// minus this is the "coordination overhead is minimal" check — computed
 /// per resource kind actually present: a kind's busy time cannot drain
 /// faster than its own slots (or the pool) allow, and the total cannot
 /// drain faster than the in-use slots / pool permit. Kinds with no tasks
@@ -241,9 +228,12 @@ class WorkflowEngine {
   /// dependency's error).
   void wait(TaskHandle handle);
 
-  /// Cooperatively help-run until every submitted task has completed. The
-  /// first error observed since the last drain/run_batch is rethrown —
-  /// unless `error_out` is non-null, in which case it is stored there.
+  /// Cooperatively help-run until every submitted task has settled (run,
+  /// failed or cancelled), so a failure never abandons siblings that still
+  /// reference the caller's frame. The first error observed since the last
+  /// drain is then rethrown — unless `error_out` is non-null, in which case
+  /// it is stored there. The last task's `on_settled` may still be running
+  /// on its own thread when drain returns.
   void drain(std::exception_ptr* error_out = nullptr);
 
   /// Timing of a completed (or cancelled) task, relative to engine
@@ -251,15 +241,6 @@ class WorkflowEngine {
   TaskTiming timing(TaskHandle handle) const;
 
   EngineStats stats() const;
-
-  /// Compatibility wrapper: run every task respecting the slot limits;
-  /// blocks until all complete (cooperatively). If tasks throw, the batch
-  /// still drains fully; the first exception is rethrown — unless
-  /// `error_out` is non-null, in which case it is stored there and the
-  /// report (including the failed tasks' timings and partial runtimes) is
-  /// returned normally. Timings are relative to batch start.
-  BatchReport run_batch(std::vector<Task> tasks,
-                        std::exception_ptr* error_out = nullptr);
 
  private:
   struct Impl;

@@ -59,11 +59,9 @@ TEST(NestedParallel, EngineSubSolveSplitsNestedKernels) {
   sched::WorkflowEngine engine(sched::EngineOptions{1, 1});
   double through_engine = 0.0;
   const std::uint64_t chunks_before = util::ThreadPool::chunk_tasks_executed();
-  std::vector<sched::Task> tasks;
-  tasks.push_back({sched::ResourceKind::kQuantum, [&] {
-                     through_engine = solver.expectation(angles);
-                   }});
-  engine.run_batch(std::move(tasks));
+  engine.submit({sched::ResourceKind::kQuantum,
+                 [&] { through_engine = solver.expectation(angles); }});
+  engine.drain();
   const std::uint64_t chunks_after = util::ThreadPool::chunk_tasks_executed();
 
   // The state vector has 2^16 amplitudes and the sweeps plan >= 4 chunks
@@ -88,11 +86,9 @@ TEST(NestedParallel, EngineQaoaOptimizeMatchesDirectBitForBit) {
 
   qaoa::QaoaResult through_engine;
   sched::WorkflowEngine engine(sched::EngineOptions{2, 2});
-  std::vector<sched::Task> tasks;
-  tasks.push_back({sched::ResourceKind::kQuantum, [&] {
-                     through_engine = qaoa::solve_qaoa(g, opts);
-                   }});
-  engine.run_batch(std::move(tasks));
+  engine.submit({sched::ResourceKind::kQuantum,
+                 [&] { through_engine = qaoa::solve_qaoa(g, opts); }});
+  engine.drain();
 
   const qaoa::QaoaResult direct = qaoa::solve_qaoa(g, opts);
   // The full hybrid loop — COBYLA trajectory, sampling, extraction — must
@@ -123,11 +119,11 @@ TEST(NestedParallel, StreamingQaoa2MatchesRecursiveWithNestedKernels) {
 
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = qaoa2::SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 12;
   opts.qaoa.shots = 128;
-  opts.merge_solver = qaoa2::SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 57;
   opts.engine = sched::EngineOptions{2, 2};
 
@@ -157,12 +153,11 @@ TEST(NestedParallel, SampleStreamIdenticalUnderNesting) {
 
   std::vector<sim::BasisState> nested;
   sched::WorkflowEngine engine(sched::EngineOptions{1, 1});
-  std::vector<sched::Task> tasks;
-  tasks.push_back({sched::ResourceKind::kQuantum, [&] {
-                     util::Rng rng_nested(1234);
-                     nested = sim::sample_counts(sv, 64, rng_nested);
-                   }});
-  engine.run_batch(std::move(tasks));
+  engine.submit({sched::ResourceKind::kQuantum, [&] {
+                   util::Rng rng_nested(1234);
+                   nested = sim::sample_counts(sv, 64, rng_nested);
+                 }});
+  engine.drain();
   EXPECT_EQ(nested, direct);
 }
 

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
+#include <future>
+#include <utility>
 
 #include "maxcut/exact.hpp"
 #include "qaoa2/merge.hpp"
 #include "qaoa2/qaoa2.hpp"
 #include "qgraph/generators.hpp"
+#include "solver/registry.hpp"
 #include "test_graphs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -106,7 +110,7 @@ TEST(Qaoa2, SmallGraphBypassesPartitioning) {
   const Graph g = graph::erdos_renyi(8, 0.4, rng);
   Qaoa2Options opts;
   opts.max_qubits = 12;
-  opts.sub_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_EQ(r.subgraphs_total, 1);
   EXPECT_DOUBLE_EQ(r.cut.value, maxcut::solve_exact(g).value);
@@ -126,8 +130,8 @@ TEST(Qaoa2, ExactSubSolverWithExactMergeIsNearExactOnClustered) {
   const Graph g = graph::planted_partition(3, 6, 0.85, 0.05, rng);
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   const double exact = maxcut::solve_exact(g).value;
   EXPECT_GE(r.cut.value, 0.9 * exact);
@@ -139,8 +143,8 @@ TEST(Qaoa2, ReportedValueMatchesAssignment) {
   const Graph g = graph::erdos_renyi(30, 0.15, rng);
   Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
 }
@@ -152,8 +156,8 @@ TEST(Qaoa2, MergeWithExactCoarseSolverNeverHurtsLocals) {
   const Graph g = graph::erdos_renyi(26, 0.2, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   opts.seed = 13;
   const Qaoa2Result r = solve_qaoa2(g, opts);
   // Reconstruct the unflipped lift with the same seeds.
@@ -169,7 +173,7 @@ TEST(Qaoa2, QaoaSubSolverEndToEnd) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 40;
   opts.seed = 17;
@@ -184,10 +188,10 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kBest;
+  opts.sub_solver_spec = "best";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
-  opts.merge_solver = SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GT(r.quantum_solves, 0);
   EXPECT_GT(r.classical_solves, 0);
@@ -195,16 +199,22 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
 
 TEST(Qaoa2, BestModeDominatesSingleModesPerSubgraph) {
   // On each sub-graph, best-of(QAOA, GW) >= each individually; sanity-check
-  // via the driver's public per-subgraph API.
+  // with the registry solvers built from the driver's defaults.
   util::Rng rng(17);
   const Graph g = graph::erdos_renyi(10, 0.3, rng);
   Qaoa2Options opts;
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 40;
   const Qaoa2Driver driver(opts);
-  const auto q = driver.solve_subgraph(g, SubSolver::kQaoa, 5);
-  const auto c = driver.solve_subgraph(g, SubSolver::kGw, 5);
-  const auto b = driver.solve_subgraph(g, SubSolver::kBest, 5);
+  const auto solve = [&](const char* spec) {
+    return solver::SolverRegistry::global()
+        .make(spec, driver.solver_defaults())
+        ->solve({&g, 5})
+        .cut;
+  };
+  const auto q = solve("qaoa");
+  const auto c = solve("gw");
+  const auto b = solve("best");
   EXPECT_GE(b.value, std::max(q.value, c.value) - 1e-12);
 }
 
@@ -213,9 +223,9 @@ TEST(Qaoa2, DeepRecursionTerminatesWithTinyDevices) {
   const Graph g = graph::erdos_renyi(60, 0.08, rng);
   Qaoa2Options opts;
   opts.max_qubits = 4;  // forces multiple levels
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
-  opts.deeper_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
+  opts.deeper_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GE(r.levels, 2);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
@@ -226,7 +236,7 @@ TEST(Qaoa2, DeterministicPerSeed) {
   const Graph g = graph::erdos_renyi(24, 0.2, rng);
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
   opts.seed = 23;
@@ -239,17 +249,16 @@ TEST(Qaoa2, DeterministicPerSeed) {
 TEST(Qaoa2, EverySubSolverBackendRuns) {
   util::Rng rng(23);
   const Graph g = graph::erdos_renyi(14, 0.3, rng);
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
+  for (const char* spec :
+       {"qaoa", "gw", "exact", "anneal", "local-search", "rqaoa"}) {
     Qaoa2Options opts;
     opts.max_qubits = 6;
-    opts.sub_solver = s;
+    opts.sub_solver_spec = spec;
     opts.qaoa.layers = 1;
     opts.qaoa.max_iterations = 20;
-    opts.merge_solver = SubSolver::kLocalSearch;
+    opts.merge_solver_spec = "local-search";
     const Qaoa2Result r = solve_qaoa2(g, opts);
-    EXPECT_GT(r.cut.value, 0.0) << sub_solver_name(s);
+    EXPECT_GT(r.cut.value, 0.0) << spec;
   }
 }
 
@@ -258,8 +267,8 @@ TEST(Qaoa2, LevelStatsAreConsistent) {
   const Graph g = graph::erdos_renyi(40, 0.12, rng);
   Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   ASSERT_FALSE(r.level_stats.empty());
   const LevelStats& top = r.level_stats.front();
@@ -286,27 +295,11 @@ TEST(Qaoa2, OptionValidation) {
   opts.max_qubits = 1;
   EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
   opts = Qaoa2Options{};
-  opts.merge_solver = SubSolver::kBest;
+  opts.merge_solver_spec = "best";
+  EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);  // Every role needs a spec: an empty one is rejected, not defaulted.
+  opts = Qaoa2Options{};
+  opts.deeper_solver_spec.clear();
   EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
-}
-
-TEST(Qaoa2, SolverNamesAreStable) {
-  EXPECT_STREQ(sub_solver_name(SubSolver::kQaoa), "qaoa");
-  EXPECT_STREQ(sub_solver_name(SubSolver::kGw), "gw");
-  EXPECT_STREQ(sub_solver_name(SubSolver::kBest), "best");
-}
-
-TEST(Qaoa2, ParseSubSolverRoundTrips) {
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kBest, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
-    const auto parsed = parse_sub_solver(sub_solver_name(s));
-    ASSERT_TRUE(parsed.has_value()) << sub_solver_name(s);
-    EXPECT_EQ(*parsed, s);
-  }
-  EXPECT_FALSE(parse_sub_solver("").has_value());
-  EXPECT_FALSE(parse_sub_solver("QAOA").has_value());
-  EXPECT_FALSE(parse_sub_solver("goemans").has_value());
 }
 
 // ------------------------------------------------- component sharding ----
@@ -332,8 +325,8 @@ TEST(Qaoa2, DisconnectedGraphShardsToIndependentComponentSolves) {
 
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   opts.seed = 31;
 
   for (const bool streaming : {true, false}) {
@@ -367,8 +360,8 @@ TEST(Qaoa2, IsolatedNodesOnlyGraphSolvesTrivially) {
   const Graph g(9);  // no edges at all, but > max_qubits nodes
   Qaoa2Options opts;
   opts.max_qubits = 4;
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   for (const bool streaming : {true, false}) {
     opts.streaming = streaming;
     const Qaoa2Result r = solve_qaoa2(g, opts);
@@ -381,6 +374,48 @@ TEST(Qaoa2, IsolatedNodesOnlyGraphSolvesTrivially) {
 
 // -------------------------------------- streaming-vs-recursive parity ----
 
+namespace {
+
+/// Asynchronous solve on a caller-owned engine: drain the engine, then wait
+/// for the done callback, which may still be running on the last task's
+/// thread when drain() returns.
+Qaoa2Result solve_through_async(const Qaoa2Driver& driver, const Graph& g) {
+  sched::WorkflowEngine engine(driver.options().engine);
+  std::promise<Qaoa2Result> done;
+  std::future<Qaoa2Result> result = done.get_future();
+  driver.solve_async(engine, g, SolveTags{},
+                     [&done](Qaoa2Result r, std::exception_ptr err) {
+                       if (err) {
+                         done.set_exception(err);
+                       } else {
+                         done.set_value(std::move(r));
+                       }
+                     });
+  std::exception_ptr error;  // get() rethrows it after the callback ran
+  engine.drain(&error);
+  return result.get();
+}
+
+/// Every field fuzz::same_result compares. engine_tasks is not one: the
+/// pipelines and entry points legitimately run different task counts.
+void expect_same_result(const Qaoa2Result& a, const Qaoa2Result& b) {
+  EXPECT_EQ(a.cut.value, b.cut.value);
+  EXPECT_EQ(a.cut.assignment, b.cut.assignment);
+  EXPECT_EQ(a.levels, b.levels);
+  EXPECT_EQ(a.subgraphs_total, b.subgraphs_total);
+  EXPECT_EQ(a.quantum_solves, b.quantum_solves);
+  EXPECT_EQ(a.classical_solves, b.classical_solves);
+  EXPECT_EQ(a.components, b.components);
+  ASSERT_EQ(a.level_stats.size(), b.level_stats.size());
+  for (std::size_t i = 0; i < a.level_stats.size(); ++i) {
+    EXPECT_EQ(a.level_stats[i].level, b.level_stats[i].level);
+    EXPECT_EQ(a.level_stats[i].num_parts, b.level_stats[i].num_parts);
+    EXPECT_EQ(a.level_stats[i].level_cut, b.level_stats[i].level_cut);
+  }
+}
+
+}  // namespace
+
 TEST(Qaoa2, StreamingMatchesRecursiveBitForBit) {
   util::Rng rng(29);
   const Graph connected = graph::erdos_renyi(26, 0.2, rng);
@@ -388,30 +423,61 @@ TEST(Qaoa2, StreamingMatchesRecursiveBitForBit) {
   for (const Graph* g : {&connected, &disconnected}) {
     Qaoa2Options opts;
     opts.max_qubits = 6;
-    opts.sub_solver = SubSolver::kQaoa;
+    opts.sub_solver_spec = "qaoa";
     opts.qaoa.layers = 2;
     opts.qaoa.max_iterations = 25;
-    opts.merge_solver = SubSolver::kGw;
+    opts.merge_solver_spec = "gw";
     opts.seed = 33;
     opts.streaming = false;
     const Qaoa2Result recursive = solve_qaoa2(*g, opts);
     opts.streaming = true;
     const Qaoa2Result streaming = solve_qaoa2(*g, opts);
-    EXPECT_EQ(streaming.cut.value, recursive.cut.value);
-    EXPECT_EQ(streaming.cut.assignment, recursive.cut.assignment);
-    EXPECT_EQ(streaming.levels, recursive.levels);
-    EXPECT_EQ(streaming.subgraphs_total, recursive.subgraphs_total);
-    EXPECT_EQ(streaming.quantum_solves, recursive.quantum_solves);
-    EXPECT_EQ(streaming.classical_solves, recursive.classical_solves);
-    ASSERT_EQ(streaming.level_stats.size(), recursive.level_stats.size());
-    for (std::size_t i = 0; i < recursive.level_stats.size(); ++i) {
-      EXPECT_EQ(streaming.level_stats[i].level,
-                recursive.level_stats[i].level);
-      EXPECT_EQ(streaming.level_stats[i].num_parts,
-                recursive.level_stats[i].num_parts);
-      EXPECT_EQ(streaming.level_stats[i].level_cut,
-                recursive.level_stats[i].level_cut);
-    }
+    expect_same_result(streaming, recursive);
+  }
+}
+
+TEST(Qaoa2, StreamingAsyncMatchesSolve) {
+  Qaoa2Options opts;
+  opts.sub_solver_spec = "qaoa";
+  opts.merge_solver_spec = "gw";
+  opts.qaoa.layers = 2;
+  opts.qaoa.max_iterations = 25;
+  opts.seed = 33;
+
+  // Decomposed inputs: both entries stream the same task graph, planning
+  // task included, so even the engine task count agrees.
+  util::Rng rng(29);
+  const Graph connected = graph::erdos_renyi(26, 0.2, rng);
+  const Graph disconnected = disconnected_test_graph();
+  opts.max_qubits = 6;
+  for (const Graph* g : {&connected, &disconnected}) {
+    const Qaoa2Driver driver(opts);
+    const Qaoa2Result direct = driver.solve(*g);
+    const Qaoa2Result async = solve_through_async(driver, *g);
+    expect_same_result(direct, async);
+    EXPECT_EQ(direct.engine_tasks, async.engine_tasks);
+  }
+
+  // Graphs that fit on one device: solve() needs no engine, while the
+  // asynchronous entry runs its planning task plus the one whole-graph
+  // solve. Everything else agrees, components included.
+  util::Rng fit_rng(17);
+  const Graph fits = graph::erdos_renyi(10, 0.3, fit_rng);
+  const Graph sparse = [] {  // two edges, four isolated nodes: 6 components
+    Graph g(8);
+    g.add_edge(0, 1);
+    g.add_edge(2, 3);
+    return g;
+  }();
+  ASSERT_EQ(graph::connected_components(sparse).size(), 6u);
+  opts.max_qubits = 12;
+  for (const Graph* g : {&fits, &sparse}) {
+    const Qaoa2Driver driver(opts);
+    const Qaoa2Result direct = driver.solve(*g);
+    const Qaoa2Result async = solve_through_async(driver, *g);
+    expect_same_result(direct, async);
+    EXPECT_EQ(direct.engine_tasks, 0);
+    EXPECT_EQ(async.engine_tasks, 2);
   }
 }
 
@@ -422,10 +488,10 @@ TEST(Qaoa2, StreamingBitForBitAcrossEnginePoolWidths) {
   const Graph g = disconnected_test_graph();
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 20;
-  opts.merge_solver = SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 35;
   const Qaoa2Result reference = solve_qaoa2(g, opts);  // default pool
   for (const std::size_t threads : {1u, 3u, 8u}) {

@@ -26,18 +26,16 @@ namespace {
 TEST(EngineFailure, ThrowingTaskIsReportedAfterBatchDrains) {
   sched::WorkflowEngine engine(sched::EngineOptions{2, 2});
   std::atomic<int> completed{0};
-  std::vector<sched::Task> tasks;
   for (int i = 0; i < 12; ++i) {
     if (i == 5) {
-      tasks.push_back({sched::ResourceKind::kQuantum, [] {
-                         throw std::runtime_error("device lost");
-                       }});
+      engine.submit({sched::ResourceKind::kQuantum,
+                     [] { throw std::runtime_error("device lost"); }});
     } else {
-      tasks.push_back(
+      engine.submit(
           {sched::ResourceKind::kClassical, [&completed] { completed++; }});
     }
   }
-  EXPECT_THROW(engine.run_batch(std::move(tasks)), std::runtime_error);
+  EXPECT_THROW(engine.drain(), std::runtime_error);
   // Every sibling task still ran to completion before the rethrow.
   EXPECT_EQ(completed.load(), 11);
 }
@@ -46,14 +44,13 @@ TEST(EngineFailure, FailedTaskReleasesItsSlot) {
   // With a single quantum slot, a throwing task must not wedge the gate.
   sched::WorkflowEngine engine(sched::EngineOptions{1, 1});
   std::atomic<int> quantum_ran{0};
-  std::vector<sched::Task> tasks;
-  tasks.push_back({sched::ResourceKind::kQuantum,
-                   [] { throw std::logic_error("boom"); }});
+  engine.submit({sched::ResourceKind::kQuantum,
+                 [] { throw std::logic_error("boom"); }});
   for (int i = 0; i < 4; ++i) {
-    tasks.push_back(
+    engine.submit(
         {sched::ResourceKind::kQuantum, [&quantum_ran] { quantum_ran++; }});
   }
-  EXPECT_THROW(engine.run_batch(std::move(tasks)), std::logic_error);
+  EXPECT_THROW(engine.drain(), std::logic_error);
   EXPECT_EQ(quantum_ran.load(), 4);
 }
 
@@ -108,8 +105,8 @@ TEST(Degenerate, Qaoa2OnDisconnectedGraph) {
   const graph::Graph g = testing::disjoint_blobs_fixture();
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = qaoa2::SubSolver::kExact;
-  opts.merge_solver = qaoa2::SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   const auto r = qaoa2::solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
   EXPECT_GT(r.cut.value, 0.0);
@@ -120,8 +117,8 @@ TEST(Degenerate, Qaoa2OnNegativeWeightGraph) {
   const graph::Graph g = testing::negative_weight_fixture();
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = qaoa2::SubSolver::kExact;
-  opts.merge_solver = qaoa2::SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   const auto r = qaoa2::solve_qaoa2(g, opts);
   EXPECT_NEAR(r.cut.value, 0.0, 1e-9);
 }
@@ -132,10 +129,10 @@ TEST(Degenerate, Qaoa2WeightedPipeline) {
                                     graph::WeightMode::kUniform01);
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = qaoa2::SubSolver::kBest;
+  opts.sub_solver_spec = "best";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
-  opts.merge_solver = qaoa2::SubSolver::kExact;
+  opts.merge_solver_spec = "exact";
   const auto r = qaoa2::solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
   EXPECT_GE(r.cut.value, g.total_weight() / 2.0 * 0.8);

@@ -211,15 +211,14 @@ TEST(Des, LongestQuantumFirstHelpsMultiDevicePacking) {
 TEST(Engine, RunsEveryTaskExactlyOnce) {
   WorkflowEngine engine(EngineOptions{2, 3});
   std::atomic<int> runs{0};
-  std::vector<Task> tasks;
   for (int i = 0; i < 40; ++i) {
-    tasks.push_back({i % 2 == 0 ? ResourceKind::kQuantum
-                                : ResourceKind::kClassical,
-                     [&runs] { runs++; }});
+    engine.submit({i % 2 == 0 ? ResourceKind::kQuantum
+                              : ResourceKind::kClassical,
+                   [&runs] { runs++; }});
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
+  engine.drain();
   EXPECT_EQ(runs.load(), 40);
-  EXPECT_EQ(report.timings.size(), 40u);
+  EXPECT_EQ(engine.stats().completed, 40u);
 }
 
 TEST(Engine, RespectsQuantumSlotCap) {
@@ -227,20 +226,18 @@ TEST(Engine, RespectsQuantumSlotCap) {
   WorkflowEngine engine(EngineOptions{slots, 8});
   std::atomic<int> active{0};
   std::atomic<int> peak{0};
-  std::vector<Task> tasks;
   for (int i = 0; i < 24; ++i) {
-    tasks.push_back({ResourceKind::kQuantum, [&active, &peak] {
-                       const int now = ++active;
-                       int expected = peak.load();
-                       while (now > expected &&
-                              !peak.compare_exchange_weak(expected, now)) {
-                       }
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(2));
-                       --active;
-                     }});
+    engine.submit({ResourceKind::kQuantum, [&active, &peak] {
+                     const int now = ++active;
+                     int expected = peak.load();
+                     while (now > expected &&
+                            !peak.compare_exchange_weak(expected, now)) {
+                     }
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                     --active;
+                   }});
   }
-  engine.run_batch(std::move(tasks));
+  engine.drain();
   EXPECT_LE(peak.load(), slots);
   EXPECT_GE(peak.load(), 1);
 }
@@ -248,43 +245,42 @@ TEST(Engine, RespectsQuantumSlotCap) {
 TEST(Engine, ClassicalAndQuantumSlotsAreIndependent) {
   WorkflowEngine engine(EngineOptions{1, 1});
   std::atomic<int> q_active{0}, c_active{0}, both_peak{0};
-  std::vector<Task> tasks;
   for (int i = 0; i < 10; ++i) {
     const bool quantum = i % 2 == 0;
-    tasks.push_back({quantum ? ResourceKind::kQuantum
-                             : ResourceKind::kClassical,
-                     [&, quantum] {
-                       auto& mine = quantum ? q_active : c_active;
-                       ++mine;
-                       const int combined = q_active + c_active;
-                       int expected = both_peak.load();
-                       while (combined > expected &&
-                              !both_peak.compare_exchange_weak(expected,
-                                                               combined)) {
-                       }
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(2));
-                       --mine;
-                     }});
+    engine.submit({quantum ? ResourceKind::kQuantum : ResourceKind::kClassical,
+                   [&, quantum] {
+                     auto& mine = quantum ? q_active : c_active;
+                     ++mine;
+                     const int combined = q_active + c_active;
+                     int expected = both_peak.load();
+                     while (combined > expected &&
+                            !both_peak.compare_exchange_weak(expected,
+                                                             combined)) {
+                     }
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                     --mine;
+                   }});
   }
-  engine.run_batch(std::move(tasks));
+  engine.drain();
   // One of each kind may run together, but never two of the same kind.
   EXPECT_LE(both_peak.load(), 2);
 }
 
 TEST(Engine, TimingsAreOrderedAndBusyAccumulates) {
   WorkflowEngine engine(EngineOptions{2, 2});
-  std::vector<Task> tasks;
+  const auto sleep_5ms = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  const double t0 = engine.now();
+  std::vector<TaskHandle> handles;
   for (int i = 0; i < 8; ++i) {
-    tasks.push_back({ResourceKind::kClassical, [] {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(5));
-                     }});
+    handles.push_back(engine.submit({ResourceKind::kClassical, sleep_5ms}));
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_GT(report.wall_seconds, 0.0);
-  EXPECT_GE(report.busy_seconds, 8 * 0.004);
-  for (const TaskTiming& t : report.timings) {
+  engine.drain();
+  EXPECT_GT(engine.now() - t0, 0.0);
+  EXPECT_GE(engine.stats().busy_classical_seconds, 8 * 0.004);
+  for (const TaskHandle h : handles) {
+    const TaskTiming t = engine.timing(h);
     EXPECT_LE(t.submit_s, t.start_s + 1e-9);
     EXPECT_LE(t.start_s, t.end_s + 1e-9);
   }
@@ -292,38 +288,35 @@ TEST(Engine, TimingsAreOrderedAndBusyAccumulates) {
 
 TEST(Engine, ThrowingTaskIsFullyAccounted) {
   // A failing task must still be timed: start_s/end_s recorded, its partial
-  // runtime included in busy_seconds, and the first exception rethrown
-  // after the batch drains.
+  // runtime included in the busy total, and the first exception delivered
+  // after the engine drains.
   WorkflowEngine engine(EngineOptions{1, 2});
-  std::vector<Task> tasks;
-  tasks.push_back({ResourceKind::kClassical, [] {
-                     std::this_thread::sleep_for(
-                         std::chrono::milliseconds(10));
-                   }});
-  tasks.push_back({ResourceKind::kClassical, [] {
-                     std::this_thread::sleep_for(
-                         std::chrono::milliseconds(10));
-                     throw std::runtime_error("task failed");
-                   }});
-  tasks.push_back({ResourceKind::kClassical, [] {
-                     std::this_thread::sleep_for(
-                         std::chrono::milliseconds(10));
-                   }});
+  const auto sleep_10ms = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  };
+  const TaskHandle before =
+      engine.submit({ResourceKind::kClassical, sleep_10ms});
+  const TaskHandle throwing =
+      engine.submit({ResourceKind::kClassical, [&sleep_10ms] {
+                       sleep_10ms();
+                       throw std::runtime_error("task failed");
+                     }});
+  const TaskHandle after = engine.submit({ResourceKind::kClassical, sleep_10ms});
   std::exception_ptr error;
-  const BatchReport report = engine.run_batch(std::move(tasks), &error);
+  engine.drain(&error);
   ASSERT_TRUE(error != nullptr);
   EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
-  ASSERT_EQ(report.timings.size(), 3u);
-  const TaskTiming& failed = report.timings[1];
+  const TaskTiming failed = engine.timing(throwing);
   EXPECT_TRUE(failed.failed);
-  EXPECT_FALSE(report.timings[0].failed);
-  EXPECT_FALSE(report.timings[2].failed);
+  EXPECT_FALSE(engine.timing(before).failed);
+  EXPECT_FALSE(engine.timing(after).failed);
   // The old engine left the throwing task's start_s/end_s zeroed and its
-  // runtime out of busy_seconds.
+  // runtime out of the busy total.
   EXPECT_GT(failed.start_s, 0.0);
   EXPECT_GE(failed.end_s - failed.start_s, 0.008);
-  EXPECT_GE(report.busy_seconds, 3 * 0.008);
-  for (const TaskTiming& t : report.timings) {
+  EXPECT_GE(engine.stats().busy_classical_seconds, 3 * 0.008);
+  for (const TaskHandle h : {before, throwing, after}) {
+    const TaskTiming t = engine.timing(h);
     EXPECT_GE(t.wait_s, 0.0);
     EXPECT_NEAR(t.wait_s, t.start_s - t.submit_s, 1e-12);
   }
@@ -334,16 +327,16 @@ TEST(Engine, RecordsQueueWaitBehindSlots) {
   // predecessor's slot, so recorded queue waits must stack roughly one
   // service time apart.
   WorkflowEngine engine(EngineOptions{1, 1});
-  std::vector<Task> tasks;
+  const auto sleep_20ms = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  std::vector<TaskHandle> handles;
   for (int i = 0; i < 3; ++i) {
-    tasks.push_back({ResourceKind::kClassical, [] {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(20));
-                     }});
+    handles.push_back(engine.submit({ResourceKind::kClassical, sleep_20ms}));
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
+  engine.drain();
   std::vector<double> waits;
-  for (const TaskTiming& t : report.timings) waits.push_back(t.wait_s);
+  for (const TaskHandle h : handles) waits.push_back(engine.timing(h).wait_s);
   std::sort(waits.begin(), waits.end());
   // Relative stacking (load-robust): each successor waits at least one
   // predecessor service time (>= 20 ms sleep) longer than the task before
@@ -364,22 +357,24 @@ TEST(Engine, CoordinationIdealUsesOnlyResourceKindsPresent) {
   opts.classical_slots = 64;
   opts.pool = &pool;
   WorkflowEngine engine(opts);
-  std::vector<Task> tasks;
+  const auto sleep_10ms = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  };
   for (int i = 0; i < 8; ++i) {
-    tasks.push_back({ResourceKind::kQuantum, [] {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(10));
-                     }});
+    engine.submit({ResourceKind::kQuantum, sleep_10ms});
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_GT(report.busy_quantum_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.busy_classical_seconds, 0.0);
+  engine.drain();
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.busy_quantum_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stats.busy_classical_seconds, 0.0);
   // busy ~= 80 ms over the 2 USABLE slots -> ideal = busy/2. The old
   // formula divided by min(66, 4) = 4, calling ~20 ms of real slot
   // queueing "coordination"; this exact-formula pin fails against it.
-  const double ideal = report.busy_seconds / 2.0;
-  EXPECT_NEAR(report.coordination_seconds,
-              std::max(0.0, report.wall_seconds - ideal), 1e-9);
+  EXPECT_DOUBLE_EQ(
+      ideal_parallel_seconds(stats.busy_quantum_seconds,
+                             stats.busy_classical_seconds, stats.quantum_tasks,
+                             stats.classical_tasks, opts, pool.size()),
+      stats.busy_quantum_seconds / 2.0);
 }
 
 TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
@@ -394,21 +389,19 @@ TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
   opts.classical_slots = 4;
   opts.pool = &pool;
   WorkflowEngine engine(opts);
-  std::vector<Task> tasks;
+  const auto sleep_40ms = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  };
+  const double t0 = engine.now();
+  std::vector<TaskHandle> handles;
   for (int i = 0; i < 4; ++i) {
-    tasks.push_back({ResourceKind::kQuantum, [] {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(40));
-                     }});
+    handles.push_back(engine.submit({ResourceKind::kQuantum, sleep_40ms}));
   }
   for (int i = 0; i < 4; ++i) {
-    tasks.push_back({ResourceKind::kClassical, [] {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(40));
-                     }});
+    handles.push_back(engine.submit({ResourceKind::kClassical, sleep_40ms}));
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_GE(report.wall_seconds, 0.16);  // quantum makespan floor
+  engine.drain();
+  EXPECT_GE(engine.now() - t0, 0.16);  // quantum makespan floor
   // Load-robust discriminator: with non-blocking dispatch, classical work
   // begins while the quantum queue is still draining — the first classical
   // task starts before the SECOND quantum task does. The old engine's
@@ -416,7 +409,8 @@ TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
   // task's completion (~120 ms in).
   double first_classical_start = 1e300;
   std::vector<double> quantum_starts;
-  for (const TaskTiming& t : report.timings) {
+  for (const TaskHandle h : handles) {
+    const TaskTiming t = engine.timing(h);
     if (t.kind == ResourceKind::kClassical) {
       first_classical_start = std::min(first_classical_start, t.start_s);
     } else {
@@ -428,22 +422,22 @@ TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
   EXPECT_LT(first_classical_start, quantum_starts[1]);
 }
 
-TEST(Engine, RunBatchFromInsidePoolWorkerCompletes) {
+TEST(Engine, DrainFromInsidePoolWorkerCompletes) {
   // Pathological but must not deadlock: the coordinator itself runs on a
-  // pool worker (even a pool of ONE) and help-runs its own batch.
+  // pool worker (even a pool of ONE) and help-runs its own tasks.
   util::ThreadPool pool(1);
   EngineOptions opts;
   opts.pool = &pool;
   std::atomic<int> runs{0};
   auto fut = pool.submit([&] {
     WorkflowEngine engine(opts);
-    std::vector<Task> tasks;
     for (int i = 0; i < 6; ++i) {
-      tasks.push_back({i % 2 == 0 ? ResourceKind::kQuantum
-                                  : ResourceKind::kClassical,
-                       [&runs] { runs++; }});
+      engine.submit({i % 2 == 0 ? ResourceKind::kQuantum
+                                : ResourceKind::kClassical,
+                     [&runs] { runs++; }});
     }
-    return engine.run_batch(std::move(tasks)).timings.size();
+    engine.drain();
+    return engine.stats().completed;
   });
   EXPECT_EQ(fut.get(), 6u);
   EXPECT_EQ(runs.load(), 6);
@@ -454,11 +448,13 @@ TEST(Engine, OptionValidation) {
   EXPECT_THROW(WorkflowEngine(EngineOptions{1, 0}), std::invalid_argument);
 }
 
-TEST(Engine, EmptyBatchIsFine) {
+TEST(Engine, DrainOnIdleEngineReturns) {
   WorkflowEngine engine(EngineOptions{1, 1});
-  const BatchReport report = engine.run_batch({});
-  EXPECT_EQ(report.timings.size(), 0u);
-  EXPECT_DOUBLE_EQ(report.busy_seconds, 0.0);
+  engine.drain();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_DOUBLE_EQ(stats.busy_quantum_seconds + stats.busy_classical_seconds,
+                   0.0);
 }
 
 // ------------------------------------------- persistent task graph ----
@@ -591,16 +587,6 @@ TEST(Engine, SubmitValidatesDependencyHandles) {
                std::invalid_argument);
   EXPECT_THROW(engine.submit({ResourceKind::kClassical, nullptr}),
                std::invalid_argument);
-  // run_batch validates the WHOLE batch before submitting anything: a
-  // partial submission followed by a throw would hand control back while
-  // submitted closures still run against the caller's frame.
-  std::atomic<int> runs{0};
-  std::vector<Task> tasks;
-  tasks.push_back({ResourceKind::kClassical, [&runs] { runs++; }});
-  tasks.push_back({ResourceKind::kClassical, nullptr});
-  EXPECT_THROW(engine.run_batch(std::move(tasks)), std::invalid_argument);
-  engine.drain();
-  EXPECT_EQ(runs.load(), 0);
 }
 
 TEST(Engine, LongDependencyChainCancelsWithoutRecursion) {
@@ -626,13 +612,12 @@ TEST(Engine, LongDependencyChainCancelsWithoutRecursion) {
   EXPECT_EQ(engine.stats().cancelled, static_cast<std::size_t>(kChain));
 }
 
-TEST(Engine, StatsAccumulateAcrossBatchesAndSubmits) {
+TEST(Engine, StatsAccumulateAcrossDrainsAndSubmits) {
   WorkflowEngine engine(EngineOptions{2, 2});
-  std::vector<Task> batch;
   for (int i = 0; i < 4; ++i) {
-    batch.push_back({ResourceKind::kQuantum, [] {}});
+    engine.submit({ResourceKind::kQuantum, [] {}});
   }
-  engine.run_batch(std::move(batch));
+  engine.drain();
   const TaskHandle h = engine.submit({ResourceKind::kClassical, [] {}});
   engine.wait(h);
   const EngineStats stats = engine.stats();
@@ -675,7 +660,7 @@ TEST(Engine, StreamingChainsOverlapAcrossABarrierlessEngine) {
   // Two component-like chains: leaves -> merge -> coarse. With dependency
   // streaming, the FAST chain's coarse task must start while the slow
   // chain's leaves are still running — the cross-level overlap a per-level
-  // run_batch barrier forbids.
+  // drain barrier forbids.
   util::ThreadPool pool(4);
   EngineOptions opts;
   opts.quantum_slots = 2;
@@ -713,27 +698,6 @@ TEST(Engine, StreamingChainsOverlapAcrossABarrierlessEngine) {
       << "fast chain's coarse level did not overlap slow chain's leaves";
   EXPECT_GE(engine.timing(slow_coarse).start_s,
             engine.timing(slow_merge).end_s - 1e-9);
-}
-
-TEST(Engine, RunBatchStillWorksAfterStreamingUse) {
-  WorkflowEngine engine(EngineOptions{2, 2});
-  std::atomic<int> runs{0};
-  const TaskHandle a =
-      engine.submit({ResourceKind::kQuantum, [&] { runs++; }});
-  engine.wait(a);
-  std::vector<Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back({ResourceKind::kClassical, [&runs] { runs++; }});
-  }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_EQ(runs.load(), 9);
-  ASSERT_EQ(report.timings.size(), 8u);
-  // Batch timings are batch-relative even on a long-lived engine.
-  for (const TaskTiming& t : report.timings) {
-    EXPECT_GE(t.submit_s, 0.0);
-    EXPECT_LE(t.submit_s, t.start_s + 1e-9);
-    EXPECT_LT(t.end_s, report.wall_seconds + 1e-9);
-  }
 }
 
 // ------------------------------------------- fair share, groups, settle ----

@@ -149,6 +149,8 @@ INSTANTIATE_TEST_SUITE_P(Boundaries, SimdMixerBoundary,
 
 /// Direct primitive-level parity on deliberately awkward lengths (0, 1,
 /// odd, just-below/above vector width) so the tail handling is pinned.
+/// 10, 11, 14 and 15 leave a 2- or 3-amplitude tail after at least one
+/// full AVX-512 body pass.
 class SimdPrimitiveParity : public ::testing::TestWithParam<std::size_t> {};
 
 std::vector<double> random_doubles(std::size_t n, std::uint64_t seed) {
@@ -222,8 +224,8 @@ TEST_P(SimdPrimitiveParity, ElementwisePrimitivesMatchScalar) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, SimdPrimitiveParity,
-                         ::testing::Values(0, 1, 2, 3, 4, 5, 7, 8, 9, 16,
-                                           33));
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 7, 8, 9, 10,
+                                           11, 14, 15, 16, 33));
 
 TEST(SimdDispatch, SetIsaClampsToSupport) {
   IsaGuard guard;

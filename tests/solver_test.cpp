@@ -192,7 +192,7 @@ TEST(Adapters, GwMatchesFreeFunctionWithHistoricalSalt) {
     sdp::GwOptions opts;
     opts.slicings = 20;
     opts.seed = seed;
-    opts.sdp.seed = seed ^ 0x5d9ULL;  // the old solve_subgraph salt
+    opts.sdp.seed = seed ^ 0x5d9ULL;  // the gw adapter's SDP seed salt
     const auto direct = sdp::goemans_williamson(g, opts);
     EXPECT_EQ(rep.cut.value, direct.best.value);
     EXPECT_EQ(rep.cut.assignment, direct.best.assignment);
@@ -213,7 +213,7 @@ TEST(Adapters, AnnealMatchesFreeFunctionWithHistoricalSalt) {
   const auto rep = SolverRegistry::global()
                        .make("anneal:sweeps=50,t0=1.5,t1=0.05")
                        ->solve({&g, 5});
-  util::Rng rng(5ULL ^ 0xa22ea1ULL);  // the old solve_subgraph salt
+  util::Rng rng(5ULL ^ 0xa22ea1ULL);  // the anneal adapter's seed salt
   maxcut::AnnealOptions opts;
   opts.sweeps = 50;
   opts.t_initial = 1.5;
@@ -227,7 +227,7 @@ TEST(Adapters, LocalSearchMatchesFreeFunctionWithHistoricalSalt) {
   const Graph g = test_graph();
   const auto rep =
       SolverRegistry::global().make("local-search:restarts=3")->solve({&g, 5});
-  util::Rng rng(5ULL ^ 0x10ca15ULL);  // the old solve_subgraph salt
+  util::Rng rng(5ULL ^ 0x10ca15ULL);  // the local-search adapter's salt
   const auto direct = maxcut::one_exchange_restarts(g, rng, 3);
   EXPECT_EQ(rep.cut.value, direct.value);
   EXPECT_EQ(rep.cut.assignment, direct.assignment);
@@ -312,7 +312,7 @@ qaoa2::Qaoa2Options parity_options() {
   opts.max_qubits = 6;
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 25;
-  opts.merge_solver = qaoa2::SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 33;
   return opts;
 }
@@ -354,9 +354,7 @@ TEST(Qaoa2Parity, RegistryDispatchPinsToPreRefactorCuts) {
     for (const bool streaming : {false, true}) {
       qaoa2::Qaoa2Options opts = parity_options();
       opts.streaming = streaming;
-      const auto parsed = qaoa2::parse_sub_solver(pin.solver);
-      ASSERT_TRUE(parsed.has_value()) << pin.solver;
-      opts.sub_solver = *parsed;
+      opts.sub_solver_spec = pin.solver;
 
       const qaoa2::Qaoa2Result conn = qaoa2::solve_qaoa2(connected, opts);
       EXPECT_DOUBLE_EQ(conn.cut.value, pin.conn_value)
@@ -376,44 +374,6 @@ TEST(Qaoa2Parity, RegistryDispatchPinsToPreRefactorCuts) {
       EXPECT_EQ(disc.quantum_solves, pin.disc_quantum) << pin.solver;
       EXPECT_EQ(disc.classical_solves, pin.disc_classical) << pin.solver;
     }
-  }
-}
-
-TEST(Qaoa2Parity, EnumAndSpecDriversAreBitForBitIdentical) {
-  const Graph g = disconnected_test_graph();
-  for (const ParityPin& pin : kParityPins) {
-    qaoa2::Qaoa2Options enum_opts = parity_options();
-    enum_opts.sub_solver = *qaoa2::parse_sub_solver(pin.solver);
-    qaoa2::Qaoa2Options spec_opts = parity_options();
-    spec_opts.sub_solver_spec = pin.solver;
-    const auto a = qaoa2::solve_qaoa2(g, enum_opts);
-    const auto b = qaoa2::solve_qaoa2(g, spec_opts);
-    EXPECT_EQ(a.cut.value, b.cut.value) << pin.solver;
-    EXPECT_EQ(a.cut.assignment, b.cut.assignment) << pin.solver;
-    EXPECT_EQ(a.quantum_solves, b.quantum_solves) << pin.solver;
-    EXPECT_EQ(a.classical_solves, b.classical_solves) << pin.solver;
-  }
-}
-
-TEST(Qaoa2Parity, SolveSubgraphShimMatchesRegistrySolvers) {
-  const Graph g = test_graph();
-  qaoa2::Qaoa2Options opts;
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 30;
-  const qaoa2::Qaoa2Driver driver(opts);
-  const auto& registry = SolverRegistry::global();
-  for (const qaoa2::SubSolver s :
-       {qaoa2::SubSolver::kQaoa, qaoa2::SubSolver::kGw,
-        qaoa2::SubSolver::kBest, qaoa2::SubSolver::kExact,
-        qaoa2::SubSolver::kAnneal, qaoa2::SubSolver::kLocalSearch,
-        qaoa2::SubSolver::kRqaoa}) {
-    const auto shim = driver.solve_subgraph(g, s, 5);
-    const auto direct = registry.make(qaoa2::sub_solver_name(s),
-                                      driver.solver_defaults())
-                            ->solve({&g, 5});
-    EXPECT_EQ(shim.value, direct.cut.value) << qaoa2::sub_solver_name(s);
-    EXPECT_EQ(shim.assignment, direct.cut.assignment)
-        << qaoa2::sub_solver_name(s);
   }
 }
 
