@@ -32,8 +32,8 @@ void BM_GreedyModularity(benchmark::State& state) {
     benchmark::DoNotOptimize(qq::graph::greedy_modularity_communities(g));
   }
 }
-BENCHMARK(BM_GreedyModularity)->Arg(100)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GreedyModularity)->Arg(100)->Arg(200)->Arg(400)->Arg(1000)
+    ->Arg(2000)->Unit(benchmark::kMillisecond);
 
 void BM_PartitionMaxSize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -46,8 +46,8 @@ void BM_PartitionMaxSize(benchmark::State& state) {
     benchmark::DoNotOptimize(qq::graph::partition_max_size(g, opts));
   }
 }
-BENCHMARK(BM_PartitionMaxSize)->Arg(100)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PartitionMaxSize)->Arg(100)->Arg(200)->Arg(400)->Arg(1000)
+    ->Arg(2000)->Unit(benchmark::kMillisecond);
 
 void BM_CutValue(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

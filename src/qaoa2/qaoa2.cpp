@@ -433,6 +433,7 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
     popts.max_nodes = options_.max_qubits;
     popts.method = options_.partition_method;
     popts.seed = partition_seed(c.base_seed, level);
+    popts.context = tags_.context;
     auto parts = graph::partition_max_size(g, popts);
     if (static_cast<graph::NodeId>(parts.size()) >= g.num_nodes()) {
       // Cannot happen with the partitioner's no-progress fallback; guard
@@ -445,7 +446,7 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
     f.stats = make_level_stats(level, parts);
     f.graph = std::move(g);
     f.parts = std::move(parts);
-    f.subgraphs = graph::induced_batch(f.graph, f.parts, &engine_.pool());
+    f.subgraphs = graph::induced_batch(f.graph, f.parts);
     f.arms = solver_arms(driver_.level_solver(level));
     f.arm_keys = driver_.arm_solver_keys(level, f.arms.size());
 
@@ -557,6 +558,7 @@ void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
   popts.max_nodes = options_.max_qubits;
   popts.method = options_.partition_method;
   popts.seed = partition_seed(base_seed, level);
+  popts.context = options_.context;
   const auto parts = graph::partition_max_size(g, popts);
   if (static_cast<graph::NodeId>(parts.size()) >= g.num_nodes()) {
     // Cannot happen with the partitioner's no-progress fallback; guard the
@@ -570,7 +572,7 @@ void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
   // coordinator/worker engine, one task per solver arm (a best-of fans out
   // one quantum and one classical task per part — paper §3.6/Fig. 4
   // "Best").
-  const auto subgraphs = graph::induced_batch(g, parts, &engine.pool());
+  const auto subgraphs = graph::induced_batch(g, parts);
   const std::vector<const solver::Solver*> arms =
       solver_arms(level_solver(level));
   const std::vector<std::string> arm_keys =

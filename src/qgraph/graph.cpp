@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
-
-#include "util/thread_pool.hpp"
+#include <utility>
 
 namespace qq::graph {
 
@@ -96,27 +96,7 @@ bool Graph::is_weighted() const {
 }
 
 Subgraph Graph::induced(const std::vector<NodeId>& nodes) const {
-  std::unordered_map<NodeId, NodeId> to_local;
-  to_local.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId g = nodes[i];
-    if (g < 0 || g >= num_nodes_) {
-      throw std::out_of_range("Graph::induced: node id out of range");
-    }
-    if (!to_local.emplace(g, static_cast<NodeId>(i)).second) {
-      throw std::invalid_argument("Graph::induced: duplicate node id " +
-                                  std::to_string(g));
-    }
-  }
-  Subgraph out{Graph(static_cast<NodeId>(nodes.size())), nodes};
-  for (const Edge& e : edges_) {
-    const auto iu = to_local.find(e.u);
-    if (iu == to_local.end()) continue;
-    const auto iv = to_local.find(e.v);
-    if (iv == to_local.end()) continue;
-    out.graph.add_edge(iu->second, iv->second, e.w);
-  }
-  return out;
+  return std::move(induced_batch(*this, {nodes}).front());
 }
 
 std::vector<std::vector<NodeId>> connected_components(const Graph& g) {
@@ -153,23 +133,45 @@ bool is_connected(const Graph& g) {
 }
 
 std::vector<Subgraph> component_subgraphs(const Graph& g) {
-  const auto comps = connected_components(g);
-  std::vector<Subgraph> out;
-  out.reserve(comps.size());
-  for (const auto& comp : comps) out.push_back(g.induced(comp));
-  return out;
+  return induced_batch(g, connected_components(g));
 }
 
 std::vector<Subgraph> induced_batch(
     const Graph& g, const std::vector<std::vector<NodeId>>& parts,
-    util::ThreadPool* pool) {
-  std::vector<Subgraph> out(parts.size());
-  util::ThreadPool& p = pool != nullptr ? *pool : util::ThreadPool::global();
-  // One part per chunk: extraction cost is dominated by the edge scan, and
-  // parts are few (the QAOA^2 fan-out is bounded by nodes / max_qubits).
-  util::parallel_for(
-      p, 0, parts.size(),
-      [&](std::size_t i) { out[i] = g.induced(parts[i]); });
+    util::ThreadPool* /*pool*/) {
+  constexpr std::size_t kNoPart = std::numeric_limits<std::size_t>::max();
+  // Label every node with its (part, local id) once, then deal the parent's
+  // edges out in a single pass, in the parent's order.
+  std::vector<std::size_t> part_of(static_cast<std::size_t>(g.num_nodes()),
+                                   kNoPart);
+  std::vector<NodeId> local_of(static_cast<std::size_t>(g.num_nodes()), 0);
+  std::vector<Subgraph> out;
+  out.reserve(parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const std::vector<NodeId>& nodes = parts[i];
+    for (std::size_t j = 0; j < nodes.size(); ++j) {
+      const NodeId u = nodes[j];
+      if (u < 0 || u >= g.num_nodes()) {
+        throw std::out_of_range("induced: node id out of range");
+      }
+      std::size_t& owner = part_of[static_cast<std::size_t>(u)];
+      if (owner != kNoPart) {
+        throw std::invalid_argument(
+            (owner == i ? "induced: duplicate node id "
+                        : "induced: parts overlap at node ") +
+            std::to_string(u));
+      }
+      owner = i;
+      local_of[static_cast<std::size_t>(u)] = static_cast<NodeId>(j);
+    }
+    out.push_back(Subgraph{Graph(static_cast<NodeId>(nodes.size())), nodes});
+  }
+  for (const Edge& e : g.edges()) {
+    const std::size_t p = part_of[static_cast<std::size_t>(e.u)];
+    if (p == kNoPart || p != part_of[static_cast<std::size_t>(e.v)]) continue;
+    out[p].graph.add_edge(local_of[static_cast<std::size_t>(e.u)],
+                          local_of[static_cast<std::size_t>(e.v)], e.w);
+  }
   return out;
 }
 

@@ -52,7 +52,9 @@ class Graph {
   /// vs unweighted instances).
   bool is_weighted() const;
 
-  /// Induced subgraph over `nodes` (local ids follow the order given).
+  /// Induced subgraph over `nodes` (local ids follow the order given; edges
+  /// keep this graph's edge order). Throws std::out_of_range on a bad id,
+  /// std::invalid_argument on a duplicate.
   Subgraph induced(const std::vector<NodeId>& nodes) const;
 
  private:
@@ -83,10 +85,13 @@ bool is_connected(const Graph& g);
 /// order), so sharding is a no-op for it.
 std::vector<Subgraph> component_subgraphs(const Graph& g);
 
-/// Extract the induced subgraph of every node set in `parts`, fanning the
-/// extractions out across `pool` (nullptr selects the global pool). Output
-/// order matches `parts`; each extraction is identical to
-/// g.induced(parts[i]), so results are independent of the pool width.
+/// Extract the induced subgraph of every node set in `parts` in one pass
+/// over g's edges. Output order matches `parts`; each extraction is
+/// identical to g.induced(parts[i]) (same local ids, edges and adjacency
+/// in g's edge order). Parts must be disjoint and need not cover g: an
+/// out-of-range node throws std::out_of_range, a node listed twice (in one
+/// part or in two) std::invalid_argument. `pool` is unused; extraction is
+/// serial and linear in V + E.
 std::vector<Subgraph> induced_batch(const Graph& g,
                                     const std::vector<std::vector<NodeId>>& parts,
                                     util::ThreadPool* pool = nullptr);

@@ -4,6 +4,9 @@
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
+
+#include "util/cancellation.hpp"
 
 namespace qq::graph {
 
@@ -35,77 +38,96 @@ double modularity(const Graph& g, const std::vector<int>& community_of) {
 
 namespace {
 
-/// Community-merge bookkeeping for CNM. Communities are identified by a
-/// representative index; `e_[a][b]` is the fraction of edge weight between
-/// live communities a and b (2·e for internal), `a_[c]` the fraction of
-/// edge endpoints in c.
-struct CnmState {
-  std::vector<std::unordered_map<int, double>> e;  // inter-community weight / 2m
-  std::vector<double> a;                           // degree fraction
-  std::vector<char> alive;
-  std::vector<int> parent;  // community id -> representative (union by merge)
+/// ΔQ of joining communities c and d. The one definition every scan and
+/// update uses, so a cached value and a rescanned one are the same double.
+double delta_q(double e_cd, double a_c, double a_d) {
+  return 2.0 * (e_cd - a_c * a_d);
+}
 
-  int find(int x) const {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      x = parent[static_cast<std::size_t>(x)];
+/// Community-merge bookkeeping for CNM. Communities are identified by a
+/// representative index; `e[a][b]` is the fraction of edge weight between
+/// live communities a and b (2·e for internal), `a[c]` the fraction of
+/// edge endpoints in c; a merge erases the absorbed community from every
+/// map, so maps hold live communities only. `best_dq[c]`/`best_d[c]` cache
+/// c's best partner: the first strict maximum of ΔQ over d > c in e[c]'s
+/// iteration order (-inf / -1 when c has none or is dead).
+struct CnmState {
+  std::vector<std::unordered_map<int, double>> e;
+  std::vector<double> a;
+  std::vector<double> best_dq;
+  std::vector<int> best_d;
+
+  void rescan(int c) {
+    const auto sc = static_cast<std::size_t>(c);
+    double dq_max = -std::numeric_limits<double>::infinity();
+    int arg = -1;
+    for (const auto& [d, e_cd] : e[sc]) {
+      if (d <= c) continue;
+      const double dq = delta_q(e_cd, a[sc], a[static_cast<std::size_t>(d)]);
+      if (dq > dq_max) {
+        dq_max = dq;
+        arg = d;
+      }
     }
-    return x;
+    best_dq[sc] = dq_max;
+    best_d[sc] = arg;
   }
 };
 
 }  // namespace
 
 std::vector<std::vector<NodeId>> greedy_modularity_communities(
-    const Graph& g) {
+    const Graph& g, const util::RequestContext* context) {
   const NodeId n = g.num_nodes();
+  const auto nn = static_cast<std::size_t>(n);
   std::vector<std::vector<NodeId>> singletons;
-  singletons.reserve(static_cast<std::size_t>(n));
+  singletons.reserve(nn);
   for (NodeId u = 0; u < n; ++u) singletons.push_back({u});
   const double m = g.total_weight();
   if (m <= 0.0 || n <= 1) return singletons;
 
   CnmState st;
-  st.e.resize(static_cast<std::size_t>(n));
-  st.a.assign(static_cast<std::size_t>(n), 0.0);
-  st.alive.assign(static_cast<std::size_t>(n), 1);
-  st.parent.resize(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) st.parent[static_cast<std::size_t>(u)] = u;
-
-  for (const Edge& edge : g.edges()) {
+  st.e.resize(nn);
+  st.a.assign(nn, 0.0);
+  const std::vector<Edge>& edges = g.edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (context != nullptr && i % 4096 == 0) context->throw_if_stopped();
+    const Edge& edge = edges[i];
     const double frac = edge.w / (2.0 * m);
     st.e[static_cast<std::size_t>(edge.u)][edge.v] += frac;
     st.e[static_cast<std::size_t>(edge.v)][edge.u] += frac;
     st.a[static_cast<std::size_t>(edge.u)] += frac;
     st.a[static_cast<std::size_t>(edge.v)] += frac;
   }
+  st.best_dq.resize(nn);
+  st.best_d.resize(nn);
+  for (NodeId c = 0; c < n; ++c) st.rescan(c);
 
-  // Current membership and running Q.
-  std::vector<int> community_of(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) community_of[static_cast<std::size_t>(u)] = u;
-  double q = modularity(g, community_of);
+  std::vector<int> identity(nn);
+  for (NodeId u = 0; u < n; ++u) identity[static_cast<std::size_t>(u)] = u;
+  double q = modularity(g, identity);
   double best_q = q;
-  std::vector<int> best_assignment = community_of;
+  // (kept, absorbed) per merge; the best partition is the state after the
+  // first `best_step` merges.
+  std::vector<std::pair<int, int>> merges;
+  merges.reserve(nn);
+  std::size_t best_step = 0;
 
-  // Merge until one community per connected component remains, keeping the
-  // best partition seen. Linear scan for the max ΔQ pair: O(V·E) overall,
-  // ample for the node counts in the paper (≤ 2500).
+  // Merge until one community per connected component remains. Picking
+  // the first strict maximum of the cached pairs in ascending c reproduces
+  // a full scan of every map: lowest c first, then its map order.
   for (;;) {
-    double best_dq = -std::numeric_limits<double>::infinity();
-    int best_a = -1, best_b = -1;
+    if (context != nullptr) context->throw_if_stopped();
+    double best = -std::numeric_limits<double>::infinity();
+    int best_a = -1;
     for (NodeId c = 0; c < n; ++c) {
-      if (!st.alive[static_cast<std::size_t>(c)]) continue;
-      for (const auto& [d, eij] : st.e[static_cast<std::size_t>(c)]) {
-        if (d <= c || !st.alive[static_cast<std::size_t>(d)]) continue;
-        const double dq = 2.0 * (eij - st.a[static_cast<std::size_t>(c)] *
-                                           st.a[static_cast<std::size_t>(d)]);
-        if (dq > best_dq) {
-          best_dq = dq;
-          best_a = c;
-          best_b = static_cast<int>(d);
-        }
+      if (st.best_dq[static_cast<std::size_t>(c)] > best) {
+        best = st.best_dq[static_cast<std::size_t>(c)];
+        best_a = c;
       }
     }
     if (best_a < 0) break;  // no connected pair left
+    const int best_b = st.best_d[static_cast<std::size_t>(best_a)];
 
     // Merge best_b into best_a.
     auto& ea = st.e[static_cast<std::size_t>(best_a)];
@@ -121,32 +143,57 @@ std::vector<std::vector<NodeId>> greedy_modularity_communities(
     eb.clear();
     st.a[static_cast<std::size_t>(best_a)] +=
         st.a[static_cast<std::size_t>(best_b)];
-    st.alive[static_cast<std::size_t>(best_b)] = 0;
-    st.parent[static_cast<std::size_t>(best_b)] = best_a;
+    st.best_dq[static_cast<std::size_t>(best_b)] =
+        -std::numeric_limits<double>::infinity();
+    st.best_d[static_cast<std::size_t>(best_b)] = -1;
 
-    q += best_dq;
+    merges.emplace_back(best_a, best_b);
+    q += best;
     if (q > best_q + 1e-12) {
       best_q = q;
-      for (NodeId u = 0; u < n; ++u) {
-        best_assignment[static_cast<std::size_t>(u)] =
-            st.find(community_of[static_cast<std::size_t>(u)]);
+      best_step = merges.size();
+    }
+
+    // Only best_a and its neighbours can have a new best partner. A
+    // neighbour d > best_b sees neither endpoint as a candidate, and the
+    // erase-then-insert on its map keeps its size, so it never rehashes
+    // and the order of its other entries holds.
+    st.rescan(best_a);
+    for (const auto& [d, e_da] : ea) {
+      if (d > best_b) continue;
+      const auto sd = static_cast<std::size_t>(d);
+      if (st.best_d[sd] == best_a || st.best_d[sd] == best_b ||
+          st.best_d[sd] < 0) {
+        st.rescan(d);
+      } else if (d < best_a) {
+        const double dq =
+            delta_q(e_da, st.a[sd], st.a[static_cast<std::size_t>(best_a)]);
+        if (dq > st.best_dq[sd]) {
+          st.best_dq[sd] = dq;
+          st.best_d[sd] = best_a;
+        } else if (dq == st.best_dq[sd]) {
+          st.rescan(d);  // a tie goes to whichever the map orders first
+        }
       }
     }
   }
 
-  // Materialize the best assignment into sorted community lists.
-  std::unordered_map<int, std::vector<NodeId>> groups;
+  // Replay the merges up to the best step and group nodes by root.
+  std::vector<int> parent = identity;
+  for (std::size_t k = 0; k < best_step; ++k) {
+    parent[static_cast<std::size_t>(merges[k].second)] = merges[k].first;
+  }
+  std::vector<std::vector<NodeId>> groups(nn);
   for (NodeId u = 0; u < n; ++u) {
-    // best_assignment captured representatives at snapshot time; compress
-    // through the final parent chain for stability.
-    groups[best_assignment[static_cast<std::size_t>(u)]].push_back(u);
+    int root = u;
+    while (parent[static_cast<std::size_t>(root)] != root) {
+      root = parent[static_cast<std::size_t>(root)];
+    }
+    groups[static_cast<std::size_t>(root)].push_back(u);  // ascending
   }
   std::vector<std::vector<NodeId>> out;
-  out.reserve(groups.size());
-  for (auto& [rep, members] : groups) {
-    (void)rep;
-    std::sort(members.begin(), members.end());
-    out.push_back(std::move(members));
+  for (auto& members : groups) {
+    if (!members.empty()) out.push_back(std::move(members));
   }
   std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
     if (x.size() != y.size()) return x.size() > y.size();

@@ -7,6 +7,7 @@
 
 #include "qgraph/louvain.hpp"
 #include "qgraph/modularity.hpp"
+#include "util/cancellation.hpp"
 #include "util/rng.hpp"
 
 namespace qq::graph {
@@ -163,13 +164,12 @@ std::vector<std::vector<NodeId>> random_chunks(const Graph& g,
   return out;
 }
 
-std::vector<std::vector<NodeId>> detect_communities(const Graph& g,
-                                                    PartitionMethod method,
-                                                    NodeId max_nodes,
-                                                    util::Rng& rng) {
-  switch (method) {
+std::vector<std::vector<NodeId>> detect_communities(
+    const Graph& g, const PartitionOptions& options, util::Rng& rng) {
+  const NodeId max_nodes = options.max_nodes;
+  switch (options.method) {
     case PartitionMethod::kGreedyModularity:
-      return greedy_modularity_communities(g);
+      return greedy_modularity_communities(g, options.context);
     case PartitionMethod::kLouvain: {
       LouvainOptions lopts;
       lopts.seed = rng();
@@ -182,18 +182,19 @@ std::vector<std::vector<NodeId>> detect_communities(const Graph& g,
     case PartitionMethod::kRandomChunks:
       return random_chunks(g, max_nodes, rng);
   }
-  return greedy_modularity_communities(g);
+  return greedy_modularity_communities(g, options.context);
 }
 
 void partition_recursive(const Graph& g, const std::vector<NodeId>& to_global,
                          const PartitionOptions& options, util::Rng& rng,
                          std::vector<std::vector<NodeId>>& out) {
+  if (options.context != nullptr) options.context->throw_if_stopped();
   const NodeId max_nodes = options.max_nodes;
   if (g.num_nodes() <= max_nodes) {
     out.push_back(to_global);
     return;
   }
-  auto communities = detect_communities(g, options.method, max_nodes, rng);
+  auto communities = detect_communities(g, options, rng);
   // Community detection can refuse to group anything: a single community
   // spanning the graph (cliques), or all singletons (negative-weight merge
   // graphs, where Q is maximized by the trivial partition). Either way the

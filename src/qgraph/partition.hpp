@@ -8,6 +8,10 @@
 
 #include "qgraph/graph.hpp"
 
+namespace qq::util {
+class RequestContext;
+}  // namespace qq::util
+
 namespace qq::graph {
 
 enum class PartitionMethod {
@@ -27,10 +31,15 @@ struct PartitionOptions {
   /// decompose a community (e.g. cliques).
   std::uint64_t seed = 0;
   PartitionMethod method = PartitionMethod::kGreedyModularity;
+  /// Stop state of the request this partition serves (not owned; nullptr =
+  /// never stops). Polled once per recursive call and inside the CNM merge
+  /// loop; a stopped request throws util::CancelledError.
+  const util::RequestContext* context = nullptr;
 };
 
 /// Returns disjoint node sets covering every node, each of size
 /// <= options.max_nodes. Parts are ordered by smallest contained node.
+/// Throws util::CancelledError once options.context is stopped.
 std::vector<std::vector<NodeId>> partition_max_size(
     const Graph& g, const PartitionOptions& options);
 
